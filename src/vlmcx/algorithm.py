@@ -128,6 +128,7 @@ class LeafDiagnostics:
     loglik: float
     converged: bool
     separated: bool
+    iterations: int
 
     def to_dict(self) -> dict:
         return {
@@ -137,6 +138,7 @@ class LeafDiagnostics:
             "loglik": self.loglik,
             "converged": self.converged,
             "separated": self.separated,
+            "iterations": self.iterations,
         }
 
 
@@ -221,6 +223,12 @@ def _grow_structure(data: Dataset, p: int, s: int, cap: int) -> set[Context]:
             break
         level = next_level
     if len(nodes) == 1:
+        unused = np.flatnonzero(np.bincount(data.states, minlength=p) == 0)
+        if unused.size:
+            raise DataTooShort(
+                f"state {int(unused[0])} never occurs in the data, so the depth-1 "
+                f"sibling group cannot reach {s * (1 + d)} occurrences each"
+            )
         raise DataTooShort(
             f"no depth-1 sibling group reaches {s * (1 + d)} occurrences each"
         )
@@ -230,13 +238,21 @@ def _grow_structure(data: Dataset, p: int, s: int, cap: int) -> set[Context]:
 # -- the pruning engine ----------------------------------------------------------
 
 
+# A design's provenance: ("w", u) for leaf u's window rows, or
+# ("m", parent, child provenances) for a merged parent's stacked rows.  With
+# the data and horizon fixed it determines the design's content.
+Provenance = tuple
+
+
 @dataclass
 class _LeafState:
     design: LeafDesign
+    provenance: Provenance
     block: ParamBlock
     loglik: float
     converged: bool
     separated: bool
+    iterations: int
 
 
 class _Engine:
@@ -249,6 +265,7 @@ class _Engine:
         p: int | None = None,
         horizon: int | None = None,
         structure: set[Context] | None = None,
+        fit_cache: dict | None = None,
     ):
         self.data = data
         self.config = config
@@ -266,6 +283,7 @@ class _Engine:
         self.audit: list[AuditRecord] = []
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
+        self._fit_cache = fit_cache
         self._build_designs()
         self._fit_initial()
 
@@ -302,28 +320,48 @@ class _Engine:
     def _fit_initial(self) -> None:
         for u in sorted(self._designs):
             design = self._designs[u]
-            self.leaves[u] = self._fit_state(design, h=design.h, start=None)
+            self.leaves[u] = self._fit_state(design, ("w", u), h=design.h, start=None)
         del self._designs
 
-    def _fit_state(self, design: LeafDesign, h: int, start: ParamBlock | None) -> _LeafState:
+    def _fit(self, design: LeafDesign, provenance: Provenance, h: int,
+             start: ParamBlock | None = None) -> glm.MleResult:
+        """``fit_leaf`` through the shared fit cache, when there is one.
+
+        Only successful fits are stored: a failure is recomputed, since a
+        kept exception would hold its traceback and, through it, the engine.
+        """
+        cache = self._fit_cache
+        key = None
+        if cache is not None:
+            warm = None if start is None else (
+                start.alpha.tobytes(), start.beta.tobytes(), start.beta.shape
+            )
+            key = (provenance, h, warm)
+            if key in cache:
+                return cache[key]
+        res = fit_leaf(
+            design, h, start=start,
+            grad_tol=self.config.grad_tol, max_iter=self.config.max_iter,
+        )
+        if key is not None:
+            cache[key] = res
+        return res
+
+    def _fit_state(self, design: LeafDesign, provenance: Provenance, h: int,
+                   start: ParamBlock | None) -> _LeafState:
         k = self.p - 1
         if design.m == 0:
             self.notes.append(
                 f"no transitions for {context_label(design.context)}; using a null fit"
             )
             block = ParamBlock(alpha=np.zeros(k), beta=np.zeros((k, 0, max(self.d, 1))))
-            return _LeafState(design, block, 0.0, converged=False, separated=False)
+            return _LeafState(design, provenance, block, 0.0,
+                              converged=False, separated=False, iterations=0)
         try:
-            res = fit_leaf(
-                design, h, start=start,
-                grad_tol=self.config.grad_tol, max_iter=self.config.max_iter,
-            )
+            res = self._fit(design, provenance, h, start)
         except NotConverged:
             try:
-                res = fit_leaf(
-                    design, 0,
-                    grad_tol=self.config.grad_tol, max_iter=self.config.max_iter,
-                )
+                res = self._fit(design, provenance, 0)
                 self.notes.append(
                     f"fit at {context_label(design.context)} with {h} lags did not "
                     f"converge; fell back to intercept only"
@@ -334,13 +372,15 @@ class _Engine:
                 self.notes.append(
                     f"fit at {context_label(design.context)} failed entirely; using zeros"
                 )
-                return _LeafState(design, block, ll, converged=False, separated=False)
+                return _LeafState(design, provenance, block, ll,
+                                  converged=False, separated=False, iterations=0)
         if res.separated:
             self.notes.append(
                 f"separation at {context_label(design.context)}: "
                 f"a coefficient passed {glm.SEPARATION_BOUND} in magnitude"
             )
-        return _LeafState(design, res.params, res.loglik, res.converged, res.separated)
+        return _LeafState(design, provenance, res.params, res.loglik,
+                          res.converged, res.separated, res.iterations)
 
     def clone(self, config: FitConfig) -> "_Engine":
         eng = object.__new__(_Engine)
@@ -354,6 +394,7 @@ class _Engine:
         eng.leaves = {u: dataclasses.replace(st) for u, st in self.leaves.items()}
         eng.audit = []
         eng.notes = list(self.notes)
+        eng._fit_cache = self._fit_cache
         return eng
 
     # -- pruning -----------------------------------------------------------
@@ -413,10 +454,7 @@ class _Engine:
         df = (self.p - 1) * self.d
         res = None
         try:
-            res = fit_leaf(
-                st.design, h - 1, start=st.block,
-                grad_tol=self.config.grad_tol, max_iter=self.config.max_iter,
-            )
+            res = self._fit(st.design, st.provenance, h - 1, st.block)
         except (NotConverged, DataError) as exc:
             self.notes.append(
                 f"constrained fit at {context_label(u)} (lag {h}) failed: {exc}; "
@@ -425,7 +463,7 @@ class _Engine:
         if res is None:
             block = st.block.truncated(h - 1)
             ll = design_loglik(st.design.truncated(h - 1), block)
-            self._install(st, block, ll, converged=False, separated=st.separated)
+            self._install(st, block, ll, converged=False, separated=st.separated, iterations=0)
             self.audit.append(
                 AuditRecord(kind, (u,), h, float("nan"), df, float("nan"), "drop")
             )
@@ -440,7 +478,8 @@ class _Engine:
             test = LrtResult(0.0, df, 1.0)
         dropped = test.p_value > gamma_eff
         if dropped:
-            self._install(st, res.params, res.loglik, res.converged, res.separated)
+            self._install(st, res.params, res.loglik, res.converged, res.separated,
+                          res.iterations)
         self.audit.append(
             AuditRecord(
                 kind, (u,), h, test.statistic, test.df, test.p_value,
@@ -455,11 +494,12 @@ class _Engine:
                 break
 
     def _install(self, st: _LeafState, block: ParamBlock, loglik: float,
-                 converged: bool, separated: bool) -> None:
+                 converged: bool, separated: bool, iterations: int) -> None:
         st.block = block
         st.loglik = loglik
         st.converged = converged
         st.separated = separated
+        st.iterations = iterations
 
     def _merge_test(self, parent: Context, children: list[Context], gamma_eff: float) -> bool:
         p, d = self.p, self.d
@@ -471,7 +511,8 @@ class _Engine:
         design = LeafDesign(context=parent, X=X, y=y, h=ell, d=d, p=p)
         ll_alt = sum(s.loglik for s in states)
         params_alt = sum((p - 1) * (1 + d * s.block.h) for s in states)
-        null_state = self._fit_state(design, h=ell, start=None)
+        provenance = ("m", parent, tuple(s.provenance for s in states))
+        null_state = self._fit_state(design, provenance, h=ell, start=None)
         params_null = (p - 1) * (1 + d * null_state.block.h)
         df = params_alt - params_null
         if df < 1:
@@ -528,6 +569,7 @@ class _Engine:
                 loglik=st.loglik,
                 converged=st.converged,
                 separated=st.separated,
+                iterations=st.iterations,
             )
             for u, st in items
         ]
@@ -737,6 +779,11 @@ def select_tuning(
     largest maximal-tree order over the s grid) so their criteria compare
     like for like.  Ties break toward the smaller tree, then smaller gamma,
     then smaller s.
+
+    Grid points share leaf fits within one call: a regression fitted on the
+    same rows with the same lag count and warm start is fitted once and
+    reused, so every candidate equals an uncached ``fit`` at that (s, gamma)
+    and horizon.
     """
     base = config or FitConfig()
     s_values = sorted(set(int(s) for s in s_grid))
@@ -754,13 +801,15 @@ def select_tuning(
     if not structures:
         raise AllFitsFailed("; ".join(failures))
     horizon = max(max(len(u) for u in st) for st in structures.values())
+    fit_cache: dict = {}
     best_key = None
     best: tuple[FitConfig, FitReport] | None = None
     candidates: list[TuningCandidate] = []
     for s, structure in structures.items():
         try:
             base_engine = _Engine(
-                data, base.replace(s=s), p=p_eff, horizon=horizon, structure=structure
+                data, base.replace(s=s), p=p_eff, horizon=horizon, structure=structure,
+                fit_cache=fit_cache,
             )
         except VlmcxError as exc:
             failures.append(f"s={s}: {exc}")

@@ -21,6 +21,7 @@ from .algorithm import (
     DEFAULT_S_GRID,
     FitConfig,
     FitReport,
+    _nan_to_none,
     fit,
     select_tuning,
 )
@@ -279,16 +280,12 @@ class CoefficientCell:
             "covariate": self.covariate,
             "true": self.true,
             "n": self.n,
-            "mean": _json_float(self.mean),
-            "sd": _json_float(self.sd),
+            "mean": _nan_to_none(self.mean),
+            "sd": _nan_to_none(self.sd),
             "n_clean": self.n_clean,
-            "mean_clean": _json_float(self.mean_clean),
-            "sd_clean": _json_float(self.sd_clean),
+            "mean_clean": _nan_to_none(self.mean_clean),
+            "sd_clean": _nan_to_none(self.sd_clean),
         }
-
-
-def _json_float(x: float) -> float | None:
-    return None if x != x else float(x)
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -326,8 +323,8 @@ class MonteCarloSummary:
             "runs": self.runs,
             "failures": self.failures,
             "tuned": self.tuned,
-            "means": {k: _json_float(v) for k, v in self.means.items()},
-            "rates": {k: _json_float(v) for k, v in self.rates.items()},
+            "means": {k: _nan_to_none(v) for k, v in self.means.items()},
+            "rates": {k: _nan_to_none(v) for k, v in self.rates.items()},
             "hist_missing": {str(k): v for k, v in sorted(self.hist_missing.items())},
             "hist_extra": {str(k): v for k, v in sorted(self.hist_extra.items())},
             "coefficients": [c.to_dict() for c in self.coefficients],

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -24,8 +25,9 @@ from vlmcx.errors import (
     ChildrenNotLeaves,
     DataError,
     DataTooShort,
+    NotConverged,
 )
-from vlmcx.glm import log_likelihood
+from vlmcx.glm import build_design, fit_leaf, log_likelihood
 
 
 def grow_oracle(data, p, s, cap):
@@ -135,6 +137,13 @@ class TestMaximalTree:
         with pytest.raises(DataTooShort):
             build_maximal_tree(data)
 
+    def test_unused_state_is_named(self):
+        rng = np.random.default_rng(5)
+        states = 2 * rng.integers(0, 2, size=500)
+        data = Dataset(states=states, covariates=rng.normal(size=500))
+        with pytest.raises(DataTooShort, match="state 1 never occurs in the data"):
+            build_maximal_tree(data)
+
 
 class TestFit:
     def test_deterministic_end_to_end(self, model2_data):
@@ -180,6 +189,25 @@ class TestFit:
     def test_leaf_stats_cover_leaves(self, model2_data):
         rep = fit(model2_data)
         assert sorted(ls.context for ls in rep.leaf_stats) == rep.tree.leaves()
+
+    def test_leaf_iterations_match_the_leaf_fit(self, model2_data):
+        rep = fit(model2_data, FitConfig(gamma=1.0 - 1e-9))
+        tau_max = build_maximal_tree(model2_data, horizon=rep.horizon)
+        assert all("iterations" in leaf for leaf in rep.to_dict()["leaves"])
+        untouched = [ls for ls in rep.leaf_stats if ls.h == len(ls.context)]
+        assert untouched
+        for ls in untouched:
+            design = build_design(model2_data, tau_max, ls.context, horizon=rep.horizon)
+            assert ls.iterations == fit_leaf(design).iterations > 0
+
+    def test_failed_leaf_fits_report_zero_iterations(self, model2_data, monkeypatch):
+        def never_converges(*args, **kwargs):
+            raise NotConverged(0)
+
+        monkeypatch.setattr("vlmcx.algorithm.fit_leaf", never_converges)
+        rep = fit(model2_data)
+        assert rep.leaf_stats
+        assert all(ls.iterations == 0 for ls in rep.leaf_stats)
 
     def test_fitted_tree_nested_in_maximal(self, model2_data):
         rep = fit(model2_data)
@@ -411,6 +439,40 @@ class TestSelectTuning:
         data = Dataset(states=np.zeros(30, dtype=int), covariates=np.zeros(30))
         with pytest.raises(AllFitsFailed):
             select_tuning(data, s_grid=[5], gamma_grid=[1e-2])
+
+    @pytest.mark.parametrize(
+        "model, n, seed, note",
+        [
+            # constrained fits raise NotConverged, so their lags drop unfitted
+            ("model2", 1000, 1000000, "no convergence after"),
+            ("model1", 2000, 1000003, "separation at"),
+        ],
+    )
+    def test_shared_fits_match_uncached_fits(self, model, n, seed, note):
+        data = vlmcx.generate(vlmcx.builtin_model(model), n, seed=seed)
+        base = FitConfig(ic_include_intercepts=True)
+        result = select_tuning(data, config=base, p=2)
+        assert len(result.candidates) == 12
+        fields = ("bic", "aic", "loglik", "n_alpha", "n_beta")
+        seen_note = False
+        for c in result.candidates:
+            cfg = base.replace(s=c.s, gamma=c.gamma)
+            direct = fit(data, cfg, p=2, horizon=result.report.horizon)
+            assert [getattr(c, f) for f in fields] == [getattr(direct, f) for f in fields]
+            seen_note |= any(note in msg for msg in direct.notes)
+            if cfg == result.config:
+                assert result.report.to_json() == direct.to_json()
+        assert seen_note
+
+    def test_leaves_no_reference_cycles(self):
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+        gc.collect()
+        gc.disable()
+        try:
+            select_tuning(data, config=FitConfig(ic_include_intercepts=True))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGammaLimits:

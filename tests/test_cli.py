@@ -204,6 +204,7 @@ class TestCommands:
         tree = ContextTree.parse(open(model).read())
         doc = json.loads(open(report).read())
         assert set(doc) == {"model", "criteria", "config", "leaves", "audit", "notes"}
+        assert all(isinstance(leaf["iterations"], int) for leaf in doc["leaves"])
         assert main(["predict", "--model", model, "--history", "0,1"]) == 0
         pred = capsys.readouterr().out
         assert "context" in pred and "P(next=1) = " in pred
