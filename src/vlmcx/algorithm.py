@@ -283,7 +283,7 @@ class _Engine:
         self.audit: list[AuditRecord] = []
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
-        self._fit_cache = fit_cache
+        self._fit_cache = {} if fit_cache is None else fit_cache
         self._build_designs()
         self._fit_initial()
 
@@ -325,26 +325,22 @@ class _Engine:
 
     def _fit(self, design: LeafDesign, provenance: Provenance, h: int,
              start: ParamBlock | None = None) -> glm.MleResult:
-        """``fit_leaf`` through the shared fit cache, when there is one.
+        """``fit_leaf`` through the engine's fit cache.
 
         Only successful fits are stored: a failure is recomputed, since a
         kept exception would hold its traceback and, through it, the engine.
         """
-        cache = self._fit_cache
-        key = None
-        if cache is not None:
-            warm = None if start is None else (
-                start.alpha.tobytes(), start.beta.tobytes(), start.beta.shape
-            )
-            key = (provenance, h, warm)
-            if key in cache:
-                return cache[key]
+        warm = None if start is None else (
+            start.alpha.tobytes(), start.beta.tobytes(), start.beta.shape
+        )
+        key = (provenance, h, warm)
+        if key in self._fit_cache:
+            return self._fit_cache[key]
         res = fit_leaf(
             design, h, start=start,
             grad_tol=self.config.grad_tol, max_iter=self.config.max_iter,
         )
-        if key is not None:
-            cache[key] = res
+        self._fit_cache[key] = res
         return res
 
     def _fit_state(self, design: LeafDesign, provenance: Provenance, h: int,
@@ -782,7 +778,7 @@ def select_tuning(
 
     Grid points share leaf fits within one call: a regression fitted on the
     same rows with the same lag count and warm start is fitted once and
-    reused, so every candidate equals an uncached ``fit`` at that (s, gamma)
+    reused, so every candidate equals a separate ``fit`` at that (s, gamma)
     and horizon.
     """
     base = config or FitConfig()

@@ -441,17 +441,31 @@ class TestSelectTuning:
             select_tuning(data, s_grid=[5], gamma_grid=[1e-2])
 
     @pytest.mark.parametrize(
-        "model, n, seed, note",
+        "model, n, seed, stall, note",
         [
             # constrained fits raise NotConverged, so their lags drop unfitted
-            ("model2", 1000, 1000000, "no convergence after"),
-            ("model1", 2000, 1000003, "separation at"),
+            ("model2", 1000, 1000000, False, "no convergence after"),
+            ("model1", 2000, 1000003, False, "separation at"),
+            # lagged fits from scratch on an odd number of rows stall, so
+            # those leaves and merged parents fall back to intercept only
+            ("model2", 1000, 1000000, True, "fell back to intercept only"),
         ],
     )
-    def test_shared_fits_match_uncached_fits(self, model, n, seed, note):
+    def test_shared_fits_match_uncached_fits(self, model, n, seed, stall, note, monkeypatch):
+        fallbacks = []
+        if stall:
+            def stalling_fit_leaf(design, h=None, *, start=None, **kwargs):
+                if start is None and h and design.m % 2:
+                    raise NotConverged(0)
+                if start is None and h == 0:
+                    fallbacks.append(design.context)
+                return fit_leaf(design, h, start=start, **kwargs)
+
+            monkeypatch.setattr("vlmcx.algorithm.fit_leaf", stalling_fit_leaf)
         data = vlmcx.generate(vlmcx.builtin_model(model), n, seed=seed)
         base = FitConfig(ic_include_intercepts=True)
         result = select_tuning(data, config=base, p=2)
+        tuned_fallbacks = len(fallbacks)
         assert len(result.candidates) == 12
         fields = ("bic", "aic", "loglik", "n_alpha", "n_beta")
         seen_note = False
@@ -463,6 +477,9 @@ class TestSelectTuning:
             if cfg == result.config:
                 assert result.report.to_json() == direct.to_json()
         assert seen_note
+        if stall:
+            # the tuning grid reuses intercept-only fallbacks across s and gamma
+            assert 0 < tuned_fallbacks < len(fallbacks) - tuned_fallbacks
 
     def test_leaves_no_reference_cycles(self):
         data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
