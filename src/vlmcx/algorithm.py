@@ -19,6 +19,7 @@ log-likelihoods, tests, and information criteria comparable across trees.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -35,8 +36,10 @@ from .errors import (
     ChildrenNotLeaves,
     DataError,
     DataTooShort,
+    DomainError,
     NestingViolation,
     NotConverged,
+    NumericalError,
     VlmcxError,
 )
 from .glm import LeafDesign, design_loglik, fit_leaf
@@ -62,8 +65,6 @@ class FitConfig:
     max_order_cap: int = 12
     bonferroni: bool = False
     ic_include_intercepts: bool = False
-    grad_tol: float = glm.GRAD_TOL
-    max_iter: int = glm.MAX_ITER
 
     def __post_init__(self) -> None:
         if self.s < 1:
@@ -77,13 +78,7 @@ class FitConfig:
         return dataclasses.replace(self, **kw)
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "gamma": self.gamma,
-            "max_order_cap": self.max_order_cap,
-            "bonferroni": self.bonferroni,
-            "ic_include_intercepts": self.ic_include_intercepts,
-        }
+        return dataclasses.asdict(self)
 
 
 def _nan_to_none(x: float) -> float | None:
@@ -131,15 +126,7 @@ class LeafDiagnostics:
     iterations: int
 
     def to_dict(self) -> dict:
-        return {
-            "context": list(self.context),
-            "n_obs": self.n_obs,
-            "h": self.h,
-            "loglik": self.loglik,
-            "converged": self.converged,
-            "separated": self.separated,
-            "iterations": self.iterations,
-        }
+        return {**dataclasses.asdict(self), "context": list(self.context)}
 
 
 @dataclass
@@ -256,7 +243,13 @@ class _LeafState:
 
 
 class _Engine:
-    """Mutable fitting state: node set, per-leaf designs, current blocks."""
+    """Mutable fitting state: node set, per-leaf designs, current blocks.
+
+    ``seed`` (internal) maps some leaves of a given ``structure`` to their
+    blocks.  Such an engine holds only those leaves, each refitted at its
+    block's lag count starting from the block, so that one pruning step can
+    run on them alone.
+    """
 
     def __init__(
         self,
@@ -266,6 +259,7 @@ class _Engine:
         horizon: int | None = None,
         structure: set[Context] | None = None,
         fit_cache: dict | None = None,
+        seed: dict[Context, ParamBlock] | None = None,
     ):
         self.data = data
         self.config = config
@@ -284,8 +278,7 @@ class _Engine:
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
         self._fit_cache = {} if fit_cache is None else fit_cache
-        self._build_designs()
-        self._fit_initial()
+        self._fit_initial(seed)
 
     # -- setup -------------------------------------------------------------
 
@@ -293,35 +286,24 @@ class _Engine:
         internal = {u[:-1] for u in self.nodes if u}
         return sorted(self.nodes - internal)
 
-    def _build_designs(self) -> None:
-        data, d = self.data, self.d
-        idx = np.arange(self.horizon, data.n)
-        lag_cols = np.empty((idx.size, 1 + self.order * d))
-        lag_cols[:, 0] = 1.0
-        for lag in range(1, self.order + 1):
-            lag_cols[:, 1 + (lag - 1) * d : 1 + lag * d] = data.covariates[idx - lag]
-        y_all = data.states[idx].astype(np.int64)
-        assigned = 0
-        self._designs: dict[Context, LeafDesign] = {}
-        for u in self._leaf_contexts():
-            mask = np.ones(idx.size, dtype=bool)
-            for j, sym in enumerate(u):
-                mask &= data.states[idx - 1 - j] == sym
-            X = lag_cols[mask][:, : 1 + len(u) * d]
-            self._designs[u] = LeafDesign(
-                context=u, X=X, y=y_all[mask], h=len(u), d=d, p=self.p
-            )
-            assigned += int(mask.sum())
-        if assigned != idx.size:
+    def _fit_initial(self, seed: dict[Context, ParamBlock] | None) -> None:
+        """Fit every leaf of the structure with all its lags from scratch, or
+        each seeded leaf at its block's lag count from the block."""
+        starts = dict.fromkeys(self._leaf_contexts()) if seed is None else seed
+        designs = {
+            u: glm._window_design(self.data, u, len(u), self.horizon, self.p)
+            for u in sorted(starts)
+        }
+        assigned = sum(design.m for design in designs.values())
+        if seed is None and assigned != self.data.n - self.horizon:
             raise VlmcxError(
-                f"internal error: {assigned} of {idx.size} transitions assigned to leaves"
+                f"internal error: {assigned} of {self.data.n - self.horizon} "
+                f"transitions assigned to leaves"
             )
-
-    def _fit_initial(self) -> None:
-        for u in sorted(self._designs):
-            design = self._designs[u]
-            self.leaves[u] = self._fit_state(design, ("w", u), h=design.h, start=None)
-        del self._designs
+        for u, design in designs.items():
+            block = starts[u]
+            h = design.h if block is None else block.h
+            self.leaves[u] = self._fit_state(design, ("w", u), h=h, start=block)
 
     def _fit(self, design: LeafDesign, provenance: Provenance, h: int,
              start: ParamBlock | None = None) -> glm.MleResult:
@@ -336,10 +318,7 @@ class _Engine:
         key = (provenance, h, warm)
         if key in self._fit_cache:
             return self._fit_cache[key]
-        res = fit_leaf(
-            design, h, start=start,
-            grad_tol=self.config.grad_tol, max_iter=self.config.max_iter,
-        )
+        res = fit_leaf(design, h, start=start)
         self._fit_cache[key] = res
         return res
 
@@ -379,18 +358,12 @@ class _Engine:
                           res.converged, res.separated, res.iterations)
 
     def clone(self, config: FitConfig) -> "_Engine":
-        eng = object.__new__(_Engine)
-        eng.data = self.data
+        eng = copy.copy(self)
         eng.config = config
-        eng.p = self.p
-        eng.d = self.d
         eng.nodes = set(self.nodes)
-        eng.order = self.order
-        eng.horizon = self.horizon
         eng.leaves = {u: dataclasses.replace(st) for u, st in self.leaves.items()}
         eng.audit = []
         eng.notes = list(self.notes)
-        eng._fit_cache = self._fit_cache
         return eng
 
     # -- pruning -----------------------------------------------------------
@@ -617,6 +590,27 @@ def fit(
     return engine.report()
 
 
+def _seeded_engine(
+    tree: ContextTree,
+    leaves: Sequence[Context],
+    data: Dataset,
+    config: FitConfig | None,
+    horizon: int | None,
+) -> _Engine:
+    """Engine holding ``leaves`` of ``tree``, each refitted from its block."""
+    if data.d != tree.d:
+        raise AlphabetMismatch(f"data has d={data.d}, tree d={tree.d}")
+    return _Engine(
+        data, config or FitConfig(), p=tree.p, horizon=horizon,
+        structure=set(tree.nodes), seed={c: tree.block(c) for c in leaves},
+    )
+
+
+def _last_test(engine: _Engine) -> LrtResult:
+    rec = engine.audit[-1]
+    return LrtResult(rec.statistic, rec.df, rec.p_value)
+
+
 def test_pastmost_beta(
     tree: ContextTree,
     u: Context,
@@ -626,26 +620,29 @@ def test_pastmost_beta(
 ) -> tuple[LrtResult, ContextTree]:
     """Test whether leaf ``u``'s deepest lag row is needed.
 
-    Returns the test and the updated tree: on non-rejection the leaf's block
-    is replaced by the reduced refit, otherwise the tree is returned as is.
+    Runs the estimator's own lag-drop step on the leaf refitted from its
+    block, with its failure handling: a failed constrained fit drops the lag
+    with a NaN test, a reduced fit that beats the larger one gives p = 1.
+    Returns the test and the tree with the leaf's refit installed: the
+    reduced fit on non-rejection, the full one otherwise.
     """
-    config = config or FitConfig()
     u = tuple(int(s) for s in u)
     if not tree.is_leaf(u):
         raise ChildrenNotLeaves(f"{context_label(u)} is not a leaf")
-    block = tree.block(u)
-    if block.h < 1:
+    h = tree.block(u).h
+    if h < 1:
         raise ValueError(f"leaf {context_label(u)} has no lag rows to test")
-    design = glm.build_design(data, tree, u, h=block.h, horizon=horizon)
-    free = fit_leaf(design, start=block, grad_tol=config.grad_tol, max_iter=config.max_iter)
-    reduced = fit_leaf(
-        design, block.h - 1, start=block,
-        grad_tol=config.grad_tol, max_iter=config.max_iter,
-    )
-    test = lrt(reduced.loglik, free.loglik, (tree.p - 1) * tree.d)
-    if test.p_value > config.gamma:
-        return test, tree.with_block(u, reduced.params)
-    return test, tree.with_block(u, free.params)
+    engine = _seeded_engine(tree, [u], data, config, horizon)
+    st = engine.leaves[u]
+    if st.block.h < h:
+        # the leaf has no rows, or its refit fell back to fewer lags
+        error = DataError if st.design.m == 0 else NumericalError
+        raise error(f"cannot test {context_label(u)}: " + "; ".join(engine.notes))
+    engine._lag_drop_test(st, engine.config.gamma, "deepest_lag")
+    return _last_test(engine), tree.with_block(u, st.block)
+
+
+test_pastmost_beta.__test__ = False  # a library function, not a pytest test
 
 
 def merge_siblings_test(
@@ -657,10 +654,13 @@ def merge_siblings_test(
 ) -> tuple[LrtResult, ContextTree]:
     """Test whether the children of ``parent`` share one law.
 
-    On non-rejection (p-value at or above gamma) the children are merged and
-    the parent gets a fresh fit with as many lags as its depth.
+    Runs the estimator's own merge step on the children refitted from their
+    blocks, with its failure handling: a merged fit that beats the children
+    gives p = 1.  On non-rejection (p-value at or above gamma) the children
+    are merged and the parent gets a fresh fit with as many lags as its
+    depth.  Raises DomainError when the merge frees no parameters (df < 1),
+    a merge the estimator never tests.
     """
-    config = config or FitConfig()
     parent = tuple(int(s) for s in parent)
     children = tree.children(parent)
     if not children:
@@ -668,29 +668,15 @@ def merge_siblings_test(
     bad = [c for c in children if not tree.is_leaf(c)]
     if bad:
         raise ChildrenNotLeaves(f"{context_label(bad[0])} is not a leaf")
-    if horizon is None:
-        horizon = tree.order
-    p, d = tree.p, tree.d
-    ll_alt = 0.0
-    params_alt = 0
-    child_designs = []
-    for c in children:
-        block = tree.block(c)
-        dsg = glm.build_design(data, tree, c, h=block.h, horizon=horizon)
-        refit = fit_leaf(dsg, start=block, grad_tol=config.grad_tol, max_iter=config.max_iter)
-        ll_alt += refit.loglik
-        params_alt += (p - 1) * (1 + d * refit.params.h)
-        child_designs.append(glm.build_design(data, tree, c, h=len(parent), horizon=horizon))
-    X = np.vstack([dsg.X for dsg in child_designs])
-    y = np.concatenate([dsg.y for dsg in child_designs])
-    merged_design = LeafDesign(context=parent, X=X, y=y, h=len(parent), d=d, p=p)
-    null = fit_leaf(merged_design, grad_tol=config.grad_tol, max_iter=config.max_iter)
-    df = params_alt - (p - 1) * (1 + d * null.params.h)
-    test = lrt(null.loglik, ll_alt, max(df, 1))
-    if test.p_value >= config.gamma:
-        merged = tree.merge_leaves(parent).with_block(parent, null.params)
-        return test, merged
-    return test, tree
+    engine = _seeded_engine(tree, children, data, config, horizon)
+    merged = engine._merge_test(parent, children, engine.config.gamma)
+    if not engine.audit:
+        raise DomainError(
+            f"merge at {context_label(parent)} frees no parameters (df < 1); nothing to test"
+        )
+    if merged:
+        tree = tree.merge_leaves(parent).with_block(parent, engine.leaves[parent].block)
+    return _last_test(engine), tree
 
 
 def sequential_beta_prune(
@@ -700,16 +686,15 @@ def sequential_beta_prune(
     config: FitConfig | None = None,
     horizon: int | None = None,
 ) -> ContextTree:
-    """Drop leaf ``u``'s lag rows deepest-first until a test rejects."""
-    config = config or FitConfig()
+    """Drop leaf ``u``'s lag rows deepest-first until a test rejects.
+
+    Runs the estimator's own lag sweep on the leaf refitted from its block
+    and returns the tree with the leaf's final fit installed.
+    """
     u = tuple(int(s) for s in u)
-    current = tree
-    while current.block(u).h >= 1:
-        test, updated = test_pastmost_beta(current, u, data, config, horizon=horizon)
-        if updated is current or current.block(u).h == updated.block(u).h:
-            break
-        current = updated
-    return current
+    engine = _seeded_engine(tree, [u], data, config, horizon)
+    engine._lag_sweep(engine.leaves[u], engine.config.gamma)
+    return tree.with_block(u, engine.leaves[u].block)
 
 
 def replay_audit(tau_max: ContextTree, audit: Sequence[AuditRecord]) -> dict[Context, int | None]:

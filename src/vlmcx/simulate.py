@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -190,19 +190,7 @@ class EvalMetrics:
     identical_tau_theta: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bic": self.bic,
-            "aic": self.aic,
-            "loglik": self.loglik,
-            "n_alpha": self.n_alpha,
-            "n_beta": self.n_beta,
-            "order_tree": self.order_tree,
-            "order_covar": self.order_covar,
-            "missing": self.missing,
-            "extra": self.extra,
-            "identical_tau": self.identical_tau,
-            "identical_tau_theta": self.identical_tau_theta,
-        }
+        return asdict(self)
 
 
 def compare_trees(truth: ModelSpec, fitted: FitReport) -> EvalMetrics:

@@ -25,7 +25,9 @@ from vlmcx.errors import (
     ChildrenNotLeaves,
     DataError,
     DataTooShort,
+    DomainError,
     NotConverged,
+    NumericalError,
 )
 from vlmcx.glm import build_design, fit_leaf, log_likelihood
 
@@ -291,6 +293,67 @@ class TestPastmostBetaTest:
         with pytest.raises(ValueError):
             pastmost_beta_test(tree, (0,), data)
 
+    def test_leaf_without_transitions_rejected(self):
+        n = 500
+        states = np.arange(n) % 2  # 0, 1, 0, 1, ...: history 0,0 never occurs
+        data = Dataset(states=states, covariates=np.random.default_rng(5).normal(size=n))
+        with pytest.raises(DataError):
+            pastmost_beta_test(self.fixture_tree(), (0, 0), data)
+
+    def test_failed_refit_raises(self, monkeypatch):
+        def failing_fit_leaf(design, h=None, *, start=None, **kwargs):
+            if start is not None:
+                raise NotConverged(0)
+            return fit_leaf(design, h, start=start, **kwargs)
+
+        monkeypatch.setattr("vlmcx.algorithm.fit_leaf", failing_fit_leaf)
+        data = covariate_chain(4000, 5, lambda t, x, y: 0.3 + 1.2 * x[t - 1])
+        with pytest.raises(NumericalError):
+            pastmost_beta_test(self.fixture_tree(), (0, 0), data)
+
+    def test_failed_constrained_fit_drops_the_lag_untested(self, monkeypatch):
+        # the estimator's handling: the lag drops with a NaN test, even a real one
+        def failing_fit_leaf(design, h=None, *, start=None, **kwargs):
+            if start is not None and h is not None and h < start.h:
+                raise NotConverged(0)
+            return fit_leaf(design, h, start=start, **kwargs)
+
+        monkeypatch.setattr("vlmcx.algorithm.fit_leaf", failing_fit_leaf)
+        data = covariate_chain(4000, 7, lambda t, x, y: 0.3 + 1.2 * x[t - 1] - 2.0 * x[t - 2])
+        test, out = pastmost_beta_test(self.fixture_tree(), (0, 0), data, FitConfig(gamma=0.01))
+        assert math.isnan(test.statistic) and math.isnan(test.p_value)
+        assert out.block((0, 0)).h == 1
+
+    def test_not_collected_by_pytest(self):
+        assert pastmost_beta_test.__test__ is False
+
+    def test_agrees_with_the_fit_deepest_lag_test(self):
+        # the helper refits each leaf from its block; for a converged leaf
+        # that refit stops at once, so it must reproduce fit()'s first test
+        # exactly.  Separated leaves are left out: fit()'s free fit stops at
+        # SEPARATION_BOUND before its log-likelihood converges, and the
+        # refit goes on from there (statistic 12.517 against 12.512 here).
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+        rep = fit(data)
+        tau_max = build_maximal_tree(data, horizon=rep.horizon)
+        first = {}
+        for rec in rep.audit:
+            if rec.test == "deepest_lag":
+                first.setdefault(rec.contexts[0], rec)
+        checked = 0
+        for u in tau_max.leaves():
+            if len(u) != rep.horizon:
+                continue
+            free = fit_leaf(build_design(data, tau_max, u, horizon=rep.horizon))
+            if not free.converged or free.separated:
+                continue
+            test, _ = pastmost_beta_test(tau_max, u, data, horizon=rep.horizon)
+            assert (test.statistic, test.p_value) == (
+                first[u].statistic, first[u].p_value
+            )
+            checked += 1
+        assert checked >= 2
+
 
 class TestMergeSiblingsTest:
     def fixture_tree(self):
@@ -344,6 +407,19 @@ class TestMergeSiblingsTest:
         data = covariate_chain(500, 5, lambda t, x, y: 0.3)
         with pytest.raises(ChildrenNotLeaves):
             merge_siblings_test(self.fixture_tree(), (0, 0), data)
+
+    def test_merge_without_free_parameters_is_not_tested(self):
+        # intercept-only children (2 parameters) against a parent fitted
+        # with one lag (2 parameters): df = 0, a merge fit() never tests
+        data = covariate_chain(4000, 5, lambda t, x, y: 0.3 + 1.2 * x[t - 1])
+        b0 = ParamBlock.binary(0.3, [])
+        tree = ContextTree(
+            p=2, d=1,
+            nodes={(): None, (0,): None, (1,): ParamBlock.binary(0.3, [1.2]),
+                   (0, 0): b0, (0, 1): b0},
+        )
+        with pytest.raises(DomainError, match="merge at 0 "):
+            merge_siblings_test(tree, (0,), data)
 
 
 class TestSequentialBetaPrune:
