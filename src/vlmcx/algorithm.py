@@ -231,15 +231,11 @@ def _grow_structure(data: Dataset, p: int, s: int, cap: int) -> set[Context]:
 Provenance = tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LeafState:
     design: LeafDesign
     provenance: Provenance
-    block: ParamBlock
-    loglik: float
-    converged: bool
-    separated: bool
-    iterations: int
+    fit: glm.MleResult
 
 
 class _Engine:
@@ -324,44 +320,44 @@ class _Engine:
 
     def _fit_state(self, design: LeafDesign, provenance: Provenance, h: int,
                    start: ParamBlock | None) -> _LeafState:
-        k = self.p - 1
+        """Fit one leaf, else its intercept-only model, else hold zeros (the
+        null fit of a leaf without rows); a zero block reports 0 iterations."""
+        res = None
         if design.m == 0:
             self.notes.append(
                 f"no transitions for {context_label(design.context)}; using a null fit"
             )
-            block = ParamBlock(alpha=np.zeros(k), beta=np.zeros((k, 0, max(self.d, 1))))
-            return _LeafState(design, provenance, block, 0.0,
-                              converged=False, separated=False, iterations=0)
-        try:
-            res = self._fit(design, provenance, h, start)
-        except NotConverged:
+        else:
             try:
-                res = self._fit(design, provenance, 0)
-                self.notes.append(
-                    f"fit at {context_label(design.context)} with {h} lags did not "
-                    f"converge; fell back to intercept only"
-                )
+                res = self._fit(design, provenance, h, start)
             except NotConverged:
-                block = ParamBlock(alpha=np.zeros(k), beta=np.zeros((k, 0, max(self.d, 1))))
-                ll = design_loglik(design, block)
-                self.notes.append(
-                    f"fit at {context_label(design.context)} failed entirely; using zeros"
-                )
-                return _LeafState(design, provenance, block, ll,
-                                  converged=False, separated=False, iterations=0)
-        if res.separated:
+                try:
+                    res = self._fit(design, provenance, 0)
+                    self.notes.append(
+                        f"fit at {context_label(design.context)} with {h} lags did not "
+                        f"converge; fell back to intercept only"
+                    )
+                except NotConverged:
+                    self.notes.append(
+                        f"fit at {context_label(design.context)} failed entirely; using zeros"
+                    )
+        if res is None:
+            k = self.p - 1
+            zeros = ParamBlock(alpha=np.zeros(k), beta=np.zeros((k, 0, max(self.d, 1))))
+            res = glm.MleResult(zeros, design_loglik(design, zeros), 0,
+                                converged=False, separated=False)
+        elif res.separated:
             self.notes.append(
                 f"separation at {context_label(design.context)}: "
                 f"a coefficient passed {glm.SEPARATION_BOUND} in magnitude"
             )
-        return _LeafState(design, provenance, res.params, res.loglik,
-                          res.converged, res.separated, res.iterations)
+        return _LeafState(design, provenance, res)
 
     def clone(self, config: FitConfig) -> "_Engine":
         eng = copy.copy(self)
         eng.config = config
         eng.nodes = set(self.nodes)
-        eng.leaves = {u: dataclasses.replace(st) for u, st in self.leaves.items()}
+        eng.leaves = dict(self.leaves)
         eng.audit = []
         eng.notes = list(self.notes)
         return eng
@@ -390,18 +386,17 @@ class _Engine:
         ]
         gamma_eff = self.config.gamma
         if self.config.bonferroni:
-            n_tests = sum(1 for u in leaves_at if self.leaves[u].block.h > 0)
+            n_tests = sum(1 for u in leaves_at if self.leaves[u].fit.params.h > 0)
             n_tests += len(candidate_parents)
             if n_tests > 0:
                 gamma_eff = self.config.gamma / n_tests
 
         not_rejected: dict[Context, bool] = {}
         for u in leaves_at:
-            st = self.leaves[u]
-            if st.block.h == 0:
+            if self.leaves[u].fit.params.h == 0:
                 not_rejected[u] = True
                 continue
-            not_rejected[u] = self._lag_drop_test(st, gamma_eff, "deepest_lag")
+            not_rejected[u] = self._lag_drop_test(u, gamma_eff, "deepest_lag")
 
         for parent in sorted(groups):
             children = self.children_of(parent)
@@ -413,42 +408,38 @@ class _Engine:
                 continue
             for c in children:
                 if c in self.leaves and not_rejected.get(c, False):
-                    self._lag_sweep(self.leaves[c], gamma_eff)
+                    self._lag_sweep(c, gamma_eff)
 
-    def _lag_drop_test(self, st: _LeafState, gamma_eff: float, kind: str) -> bool:
-        """Test the deepest stored lag of one leaf; install the reduced block
+    def _lag_drop_test(self, u: Context, gamma_eff: float, kind: str) -> bool:
+        """Test the deepest stored lag of leaf ``u``; install the reduced fit
         when the test does not reject.  Returns True on a drop."""
-        u = st.design.context
-        h = st.block.h
+        st = self.leaves[u]
+        h = st.fit.params.h
         df = (self.p - 1) * self.d
-        res = None
         try:
-            res = self._fit(st.design, st.provenance, h - 1, st.block)
+            res = self._fit(st.design, st.provenance, h - 1, st.fit.params)
         except (NotConverged, DataError) as exc:
             self.notes.append(
                 f"constrained fit at {context_label(u)} (lag {h}) failed: {exc}; "
                 f"treating the lag as droppable"
             )
-        if res is None:
-            block = st.block.truncated(h - 1)
-            ll = design_loglik(st.design.truncated(h - 1), block)
-            self._install(st, block, ll, converged=False, separated=st.separated, iterations=0)
-            self.audit.append(
-                AuditRecord(kind, (u,), h, float("nan"), df, float("nan"), "drop")
-            )
-            return True
-        try:
-            test = lrt(res.loglik, st.loglik, df)
-        except NestingViolation:
-            self.notes.append(
-                f"reduced fit at {context_label(u)} (lag {h}) beat the larger model; "
-                f"optimizer trouble, dropping the lag"
-            )
-            test = LrtResult(0.0, df, 1.0)
-        dropped = test.p_value > gamma_eff
+            block = st.fit.params.truncated(h - 1)
+            res = glm.MleResult(block, design_loglik(st.design.truncated(h - 1), block), 0,
+                                converged=False, separated=st.fit.separated)
+            test = LrtResult(float("nan"), df, float("nan"))
+            dropped = True
+        else:
+            try:
+                test = lrt(res.loglik, st.fit.loglik, df)
+            except NestingViolation:
+                self.notes.append(
+                    f"reduced fit at {context_label(u)} (lag {h}) beat the larger model; "
+                    f"optimizer trouble, dropping the lag"
+                )
+                test = LrtResult(0.0, df, 1.0)
+            dropped = test.p_value > gamma_eff
         if dropped:
-            self._install(st, res.params, res.loglik, res.converged, res.separated,
-                          res.iterations)
+            self.leaves[u] = _LeafState(st.design, st.provenance, res)
         self.audit.append(
             AuditRecord(
                 kind, (u,), h, test.statistic, test.df, test.p_value,
@@ -457,18 +448,10 @@ class _Engine:
         )
         return dropped
 
-    def _lag_sweep(self, st: _LeafState, gamma_eff: float) -> None:
-        while st.block.h >= 1:
-            if not self._lag_drop_test(st, gamma_eff, "lag_sweep"):
+    def _lag_sweep(self, u: Context, gamma_eff: float) -> None:
+        while self.leaves[u].fit.params.h >= 1:
+            if not self._lag_drop_test(u, gamma_eff, "lag_sweep"):
                 break
-
-    def _install(self, st: _LeafState, block: ParamBlock, loglik: float,
-                 converged: bool, separated: bool, iterations: int) -> None:
-        st.block = block
-        st.loglik = loglik
-        st.converged = converged
-        st.separated = separated
-        st.iterations = iterations
 
     def _merge_test(self, parent: Context, children: list[Context], gamma_eff: float) -> bool:
         p, d = self.p, self.d
@@ -478,11 +461,11 @@ class _Engine:
         X = np.vstack([s.design.X[:, :cols] for s in states])
         y = np.concatenate([s.design.y for s in states])
         design = LeafDesign(context=parent, X=X, y=y, h=ell, d=d, p=p)
-        ll_alt = sum(s.loglik for s in states)
-        params_alt = sum((p - 1) * (1 + d * s.block.h) for s in states)
+        ll_alt = sum(s.fit.loglik for s in states)
+        params_alt = sum((p - 1) * (1 + d * s.fit.params.h) for s in states)
         provenance = ("m", parent, tuple(s.provenance for s in states))
         null_state = self._fit_state(design, provenance, h=ell, start=None)
-        params_null = (p - 1) * (1 + d * null_state.block.h)
+        params_null = (p - 1) * (1 + d * null_state.fit.params.h)
         df = params_alt - params_null
         if df < 1:
             self.notes.append(
@@ -490,7 +473,7 @@ class _Engine:
             )
             return False
         try:
-            test = lrt(null_state.loglik, ll_alt, df)
+            test = lrt(null_state.fit.loglik, ll_alt, df)
         except NestingViolation:
             self.notes.append(
                 f"children of {context_label(parent)} scored below their merge; "
@@ -517,15 +500,15 @@ class _Engine:
     def final_tree(self) -> ContextTree:
         nodes: dict[Context, ParamBlock | None] = {u: None for u in self.nodes}
         for u, st in self.leaves.items():
-            nodes[u] = st.block
+            nodes[u] = st.fit.params
         return ContextTree(p=self.p, d=self.d, nodes=nodes)
 
     def report(self) -> FitReport:
         tree = self.final_tree()
         items = sorted(self.leaves.items())
-        loglik = float(sum(st.loglik for _, st in items))
+        loglik = float(sum(st.fit.loglik for _, st in items))
         n_alpha = len(items)
-        n_beta = sum((self.p - 1) * self.d * st.block.h for _, st in items)
+        n_beta = sum((self.p - 1) * self.d * st.fit.params.h for _, st in items)
         k = n_beta + (n_alpha * (self.p - 1) if self.config.ic_include_intercepts else 0)
         n_eff = self.data.n - self.horizon
         aic = -2.0 * loglik + 2.0 * k
@@ -534,11 +517,11 @@ class _Engine:
             LeafDiagnostics(
                 context=u,
                 n_obs=st.design.m,
-                h=st.block.h,
-                loglik=st.loglik,
-                converged=st.converged,
-                separated=st.separated,
-                iterations=st.iterations,
+                h=st.fit.params.h,
+                loglik=st.fit.loglik,
+                converged=st.fit.converged,
+                separated=st.fit.separated,
+                iterations=st.fit.iterations,
             )
             for u, st in items
         ]
@@ -634,12 +617,12 @@ def test_pastmost_beta(
         raise ValueError(f"leaf {context_label(u)} has no lag rows to test")
     engine = _seeded_engine(tree, [u], data, config, horizon)
     st = engine.leaves[u]
-    if st.block.h < h:
+    if st.fit.params.h < h:
         # the leaf has no rows, or its refit fell back to fewer lags
         error = DataError if st.design.m == 0 else NumericalError
         raise error(f"cannot test {context_label(u)}: " + "; ".join(engine.notes))
-    engine._lag_drop_test(st, engine.config.gamma, "deepest_lag")
-    return _last_test(engine), tree.with_block(u, st.block)
+    engine._lag_drop_test(u, engine.config.gamma, "deepest_lag")
+    return _last_test(engine), tree.with_block(u, engine.leaves[u].fit.params)
 
 
 test_pastmost_beta.__test__ = False  # a library function, not a pytest test
@@ -675,7 +658,7 @@ def merge_siblings_test(
             f"merge at {context_label(parent)} frees no parameters (df < 1); nothing to test"
         )
     if merged:
-        tree = tree.merge_leaves(parent).with_block(parent, engine.leaves[parent].block)
+        tree = tree.merge_leaves(parent).with_block(parent, engine.leaves[parent].fit.params)
     return _last_test(engine), tree
 
 
@@ -693,8 +676,8 @@ def sequential_beta_prune(
     """
     u = tuple(int(s) for s in u)
     engine = _seeded_engine(tree, [u], data, config, horizon)
-    engine._lag_sweep(engine.leaves[u], engine.config.gamma)
-    return tree.with_block(u, engine.leaves[u].block)
+    engine._lag_sweep(u, engine.config.gamma)
+    return tree.with_block(u, engine.leaves[u].fit.params)
 
 
 def replay_audit(tau_max: ContextTree, audit: Sequence[AuditRecord]) -> dict[Context, int | None]:
@@ -758,8 +741,12 @@ def select_tuning(
 
     All grid points are scored with one shared conditioning horizon (the
     largest maximal-tree order over the s grid) so their criteria compare
-    like for like.  Ties break toward the smaller tree, then smaller gamma,
-    then smaller s.
+    like for like.  Exact ties break toward the smaller tree, then smaller
+    gamma, then smaller s.  The same tree reached from different s values
+    rarely ties exactly: a merged parent's rows are stacked in merge order,
+    so its fit, and the BIC, can differ in the last bits, and the smaller
+    BIC wins whatever its s.  Every grid point's config is validated before
+    any tree is grown, so an invalid s or gamma raises ``DataError``.
 
     Grid points share leaf fits within one call: a regression fitted on the
     same rows with the same lag count and warm start is fitted once and
@@ -771,6 +758,7 @@ def select_tuning(
     gamma_values = sorted(set(float(g) for g in gamma_grid))
     if not s_values or not gamma_values:
         raise DataError("tuning grids must be non-empty")
+    grid = {s: [base.replace(s=s, gamma=gamma) for gamma in gamma_values] for s in s_values}
     p_eff = _infer_p(data, p)
     failures: list[str] = []
     structures: dict[int, set[Context]] = {}
@@ -795,22 +783,21 @@ def select_tuning(
         except VlmcxError as exc:
             failures.append(f"s={s}: {exc}")
             continue
-        for gamma in gamma_values:
-            cfg = base.replace(s=s, gamma=gamma)
+        for cfg in grid[s]:
             try:
                 engine = base_engine.clone(cfg)
                 engine.run()
                 rep = engine.report()
             except VlmcxError as exc:
-                failures.append(f"s={s}, gamma={gamma}: {exc}")
+                failures.append(f"s={s}, gamma={cfg.gamma}: {exc}")
                 continue
             candidates.append(
                 TuningCandidate(
-                    s=s, gamma=gamma, bic=rep.bic, aic=rep.aic, loglik=rep.loglik,
+                    s=s, gamma=cfg.gamma, bic=rep.bic, aic=rep.aic, loglik=rep.loglik,
                     n_alpha=rep.n_alpha, n_beta=rep.n_beta,
                 )
             )
-            key = (rep.bic, rep.n_alpha, gamma, s)
+            key = (rep.bic, rep.n_alpha, cfg.gamma, s)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (cfg, rep)

@@ -66,7 +66,7 @@ class LeafDesign:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MleResult:
     """Outcome of one leaf fit."""
 
@@ -302,52 +302,6 @@ def _solve_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton(
-    X: np.ndarray,
-    y: np.ndarray,
-    p: int,
-    theta0: np.ndarray,
-    grad_tol: float,
-    max_iter: int,
-    trace: list | None = None,
-):
-    theta = theta0.copy()
-    ll = _loglik(X, y, theta)
-    if trace is not None:
-        trace.append(ll)
-    separated = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        G = _grad_matrix(X, y, theta)
-        if np.max(np.abs(G)) <= grad_tol:
-            return theta, ll, iterations - 1, True, separated
-        H = _hess_matrix(X, theta)
-        step = _solve_step(H, G.ravel()).reshape(theta.shape)
-        scale = 1.0
-        accepted = False
-        floor = ll - 1e-10 * (1.0 + abs(ll))
-        for _ in range(MAX_HALVINGS + 1):
-            cand = theta + scale * step
-            ll_new = _loglik(X, y, cand)
-            if np.isfinite(ll_new) and ll_new >= floor:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            break
-        theta, ll = cand, ll_new
-        if trace is not None:
-            trace.append(ll)
-        if np.max(np.abs(theta)) > SEPARATION_BOUND:
-            separated = True
-            G = _grad_matrix(X, y, theta)
-            return theta, ll, iterations, bool(np.max(np.abs(G)) <= grad_tol), True
-    G = _grad_matrix(X, y, theta)
-    if np.max(np.abs(G)) <= grad_tol:
-        return theta, ll, iterations, True, separated
-    raise NotConverged(iterations)
-
-
 def fit_leaf(
     design: LeafDesign,
     h: int | None = None,
@@ -361,25 +315,52 @@ def fit_leaf(
 
     ``h`` below the design's lag count fits the constrained model with the
     deeper lags held at zero (their columns are simply dropped).  ``start``
-    warm-starts the iteration; extra lag rows in it are ignored.
+    warm-starts the iteration; extra lag rows in it are ignored.  ``trace``
+    collects the log-likelihood of the start and of every accepted iterate.
     """
     if design.m == 0:
         raise DataError(f"no transitions assigned to {context_label(design.context)}")
     if h is None:
         h = design.h
     sub = design if h == design.h else design.truncated(h)
-    k = design.p - 1
+    X, y = sub.X, sub.y
     if start is not None:
-        theta0 = _theta_from_block(start, h, design.d)
+        theta = _theta_from_block(start, h, design.d)
     else:
-        theta0 = np.zeros((k, sub.n_cols))
-    theta, ll, iters, converged, separated = _newton(
-        sub.X, sub.y, design.p, theta0, grad_tol, max_iter, trace=trace
-    )
+        theta = np.zeros((design.p - 1, sub.n_cols))
+    ll = _loglik(X, y, theta)
+    if trace is not None:
+        trace.append(ll)
+    iterations = 0
+    separated = False
+    while True:
+        G = _grad_matrix(X, y, theta)
+        converged = bool(np.max(np.abs(G)) <= grad_tol)
+        if converged or separated or iterations >= max_iter:
+            break
+        H = _hess_matrix(X, theta)
+        step = _solve_step(H, G.ravel()).reshape(theta.shape)
+        floor = ll - 1e-10 * (1.0 + abs(ll))
+        scale = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            cand = theta + scale * step
+            ll_new = _loglik(X, y, cand)
+            if np.isfinite(ll_new) and ll_new >= floor:
+                break
+            scale *= 0.5
+        else:
+            raise NotConverged(iterations + 1)
+        theta, ll = cand, ll_new
+        iterations += 1
+        if trace is not None:
+            trace.append(ll)
+        separated = bool(np.max(np.abs(theta)) > SEPARATION_BOUND)
+    if not (converged or separated):
+        raise NotConverged(iterations)
     return MleResult(
         params=_block_from_theta(theta, h, design.d),
         loglik=ll,
-        iterations=iters,
+        iterations=iterations,
         converged=converged,
         separated=separated,
     )

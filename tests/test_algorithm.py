@@ -511,6 +511,13 @@ class TestSelectTuning:
         with pytest.raises(DataError):
             select_tuning(model2_data, s_grid=[], gamma_grid=[1e-2])
 
+    def test_invalid_s_rejected_before_growing(self):
+        # s=0 grows the tree to depth log2 n, which would set the shared
+        # horizon for the valid grid points before s=0 itself failed
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+        with pytest.raises(DataError, match="s must be >= 1, got 0"):
+            select_tuning(data, s_grid=(0, 2, 5), gamma_grid=(1e-3,))
+
     def test_hopeless_data_raises(self):
         data = Dataset(states=np.zeros(30, dtype=int), covariates=np.zeros(30))
         with pytest.raises(AllFitsFailed):

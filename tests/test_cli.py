@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,8 +185,8 @@ class TestCommands:
                      "--seed", "7", "--out", out1]) == 0
         assert main(["simulate", "--model", "model2", "--n", "400",
                      "--seed", "7", "--out", out2]) == 0
-        text = open(out1).read()
-        assert text == open(out2).read()
+        text = Path(out1).read_text()
+        assert text == Path(out2).read_text()
         lines = text.strip().splitlines()
         assert lines[0] == "y,x1"
         assert len(lines) == 401
@@ -201,8 +202,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "selected s=" in out
         assert "logLik" in out and "BIC" in out
-        tree = ContextTree.parse(open(model).read())
-        doc = json.loads(open(report).read())
+        tree = ContextTree.parse(Path(model).read_text())
+        doc = json.loads(Path(report).read_text())
         assert set(doc) == {"model", "criteria", "config", "leaves", "audit", "notes"}
         assert all(isinstance(leaf["iterations"], int) for leaf in doc["leaves"])
         assert main(["predict", "--model", model, "--history", "0,1"]) == 0
@@ -245,7 +246,7 @@ class TestCommands:
                      "--runs", "2", "--seed", "3", "--s", "5", "--out", out]) == 0
         printed = capsys.readouterr().out
         assert "results over 2 runs, n=300" in printed
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["runs"] == 2
 
 
@@ -284,6 +285,18 @@ class TestExitCodes:
         monkeypatch.setattr("vlmcx.cli.fit", boom)
         assert main(["fit", "--data", sim, "--ingest", spec]) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_invalid_s_grid_exits_three(self, tmp_path, capsys):
+        sim = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--model", "model2", "--n", "1000",
+                     "--seed", "1000000", "--out", sim]) == 0
+        spec = write(
+            tmp_path, "spec.json",
+            json.dumps({"target": {"column": "y"}, "covariates": [{"column": "x1"}]}),
+        )
+        assert main(["fit", "--data", sim, "--ingest", spec, "--tune",
+                     "--s-grid", "0", "2", "5", "--gamma-grid", "1e-3"]) == 3
+        assert "s must be >= 1" in capsys.readouterr().err
 
     def test_missing_model_file_exits_three(self, capsys):
         assert main(["predict", "--model", "/nope/model.json",

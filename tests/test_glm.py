@@ -366,6 +366,60 @@ class TestFitLeaf:
             fit_leaf(design, max_iter=1, grad_tol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def model2_seed_designs():
+    """Leaf designs of model2's maximal tree (n=1000, seed 1000000, horizon 7)."""
+    import vlmcx
+
+    data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+    tau = vlmcx.build_maximal_tree(data, horizon=7)
+    return lambda u: build_design(data, tau, u, horizon=7)
+
+
+class TestFitLeafExits:
+    """Each way ``fit_leaf`` ends: converged, budget spent, line search stuck."""
+
+    @pytest.mark.parametrize(
+        "u, h, warm, max_iter, iterations, accepted",
+        [
+            # the full fit passes SEPARATION_BOUND; warm-started from it at
+            # h=4, no halving of the first Newton step keeps the log-likelihood
+            ((0, 0, 0, 1, 1), 4, True, 100, 1, 0),
+            ((1, 0), None, False, 0, 0, 0),
+            ((1, 0), None, False, 2, 2, 2),
+        ],
+        ids=["rejected_line_search", "zero_budget", "spent_budget"],
+    )
+    def test_not_converged_reports_iterations(
+        self, model2_seed_designs, u, h, warm, max_iter, iterations, accepted
+    ):
+        design = model2_seed_designs(u)
+        start = fit_leaf(design).params if warm else None
+        trace: list = []
+        with pytest.raises(NotConverged, match=rf"^no convergence after {iterations} iterations$") as err:
+            fit_leaf(design, h, start=start, max_iter=max_iter, trace=trace)
+        assert err.value.iterations == iterations
+        assert len(trace) == accepted + 1
+
+    def test_zero_budget_from_the_optimum_converges(self, model2_seed_designs):
+        design = model2_seed_designs((1, 0))
+        mle = fit_leaf(design)
+        res = fit_leaf(design, start=mle.params, max_iter=0)
+        assert res.iterations == 0
+        assert res.converged is True and res.separated is False
+        assert res.loglik == mle.loglik
+        np.testing.assert_array_equal(res.params.alpha, mle.params.alpha)
+        np.testing.assert_array_equal(res.params.beta, mle.params.beta)
+
+    def test_trace_holds_start_and_every_iterate(self, rng):
+        design = random_design(rng, m=200, h=2, d=2, p=3)
+        trace: list = []
+        res = fit_leaf(design, trace=trace)
+        assert len(trace) == res.iterations + 1
+        assert trace[-1] == res.loglik
+        assert type(res.converged) is bool and type(res.separated) is bool
+
+
 class TestSequenceLogLikelihood:
     def test_decomposes_over_leaves(self, model2_data):
         import vlmcx
