@@ -730,6 +730,17 @@ class TuningResult:
         return iter((self.config, self.report))
 
 
+def _grid_configs(
+    s_grid: Sequence[int], gamma_grid: Sequence[float], base: FitConfig
+) -> dict[int, list[FitConfig]]:
+    """Every grid point's config by ascending s; ``DataError`` if any is invalid."""
+    s_values = sorted(set(int(s) for s in s_grid))
+    gamma_values = sorted(set(float(g) for g in gamma_grid))
+    if not s_values or not gamma_values:
+        raise DataError("tuning grids must be non-empty")
+    return {s: [base.replace(s=s, gamma=gamma) for gamma in gamma_values] for s in s_values}
+
+
 def select_tuning(
     data: Dataset,
     s_grid: Sequence[int] = DEFAULT_S_GRID,
@@ -754,15 +765,11 @@ def select_tuning(
     and horizon.
     """
     base = config or FitConfig()
-    s_values = sorted(set(int(s) for s in s_grid))
-    gamma_values = sorted(set(float(g) for g in gamma_grid))
-    if not s_values or not gamma_values:
-        raise DataError("tuning grids must be non-empty")
-    grid = {s: [base.replace(s=s, gamma=gamma) for gamma in gamma_values] for s in s_values}
+    grid = _grid_configs(s_grid, gamma_grid, base)
     p_eff = _infer_p(data, p)
     failures: list[str] = []
     structures: dict[int, set[Context]] = {}
-    for s in s_values:
+    for s in grid:
         try:
             structures[s] = _grow_structure(data, p_eff, s, base.max_order_cap)
         except DataTooShort as exc:

@@ -247,32 +247,27 @@ def _print_report(report: FitReport) -> None:
         print(f"note: {note}")
 
 
-def _make_setting(args: argparse.Namespace) -> FitConfig:
-    return FitConfig(
-        s=args.s,
-        gamma=args.gamma,
-        max_order_cap=args.max_order,
-        bonferroni=args.bonferroni,
-    )
+def _make_setting(args: argparse.Namespace) -> FitConfig | TuningGrid:
+    """The fixed config, or with ``--tune`` the validated tuning grid."""
+    base = FitConfig(max_order_cap=args.max_order, bonferroni=args.bonferroni)
+    if args.tune:
+        return TuningGrid(s_grid=tuple(args.s_grid), gamma_grid=tuple(args.gamma_grid), base=base)
+    return base.replace(s=args.s, gamma=args.gamma)
 
 
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    setting = _make_setting(args)
     spec = IngestSpec.from_file(args.ingest)
     data = ingest(args.data, spec)
-    if args.tune:
-        result = select_tuning(
-            data,
-            s_grid=args.s_grid or DEFAULT_S_GRID,
-            gamma_grid=args.gamma_grid or DEFAULT_GAMMA_GRID,
-            config=FitConfig(max_order_cap=args.max_order, bonferroni=args.bonferroni),
-        )
+    if isinstance(setting, TuningGrid):
+        result = select_tuning(data, setting.s_grid, setting.gamma_grid, config=setting.base)
         report = result.report
         print(f"selected s={result.config.s} gamma={result.config.gamma:g}")
     else:
-        report = fit(data, _make_setting(args))
+        report = fit(data, setting)
     _print_report(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -301,16 +296,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tree = _load_tree(args.model)
     spec = ModelSpec(tree=tree)
-    if args.tune:
-        setting: FitConfig | TuningGrid = TuningGrid(
-            s_grid=tuple(args.s_grid or DEFAULT_S_GRID),
-            gamma_grid=tuple(args.gamma_grid or DEFAULT_GAMMA_GRID),
-            base=FitConfig(max_order_cap=args.max_order, bonferroni=args.bonferroni),
-        )
-    else:
-        setting = _make_setting(args)
     summary = monte_carlo(
-        spec, args.n, args.runs, setting, base_seed=args.seed, burn_in=args.burn_in
+        spec, args.n, args.runs, _make_setting(args), base_seed=args.seed, burn_in=args.burn_in
     )
     print(summary.format_table())
     if args.out:
@@ -348,10 +335,10 @@ def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
                      help="observations required per parameter (default %(default)s)")
     sub.add_argument("--gamma", type=float, default=FitConfig.gamma,
                      help="pruning test level (default %(default)s)")
-    sub.add_argument("--s-grid", type=int, nargs="*", default=None,
-                     help="s values for --tune")
-    sub.add_argument("--gamma-grid", type=float, nargs="*", default=None,
-                     help="gamma values for --tune")
+    sub.add_argument("--s-grid", type=int, nargs="+", default=DEFAULT_S_GRID,
+                     help="s values for --tune (default %(default)s)")
+    sub.add_argument("--gamma-grid", type=float, nargs="+", default=DEFAULT_GAMMA_GRID,
+                     help="gamma values for --tune (default %(default)s)")
     sub.add_argument("--max-order", type=int, default=FitConfig.max_order_cap,
                      help="hard cap on tree depth (default %(default)s)")
     sub.add_argument("--bonferroni", action="store_true",

@@ -7,9 +7,12 @@ time ``t`` is ``[1, x[t-1], ..., x[t-h]]`` with each lag contributing ``d``
 entries, so the coefficient layout matches ParamBlock: column ``1 + (t*d) + l``
 belongs to covariate ``l`` observed ``t + 1`` steps back.
 
-Fitting is plain Newton-Raphson with step-halving.  A singular Hessian gets
-a small ridge; iterates whose coefficients pass ``SEPARATION_BOUND`` in
-magnitude mark the result as separated but still return it.
+Fitting is plain Newton-Raphson with step-halving.  One function,
+``_evaluate``, computes the link at a point: the log-likelihood and the fitted
+probabilities.  Each iterate is evaluated once, and the score and Hessian at
+the accepted iterate read its probabilities.  A singular Hessian gets a small
+ridge; iterates whose coefficients pass ``SEPARATION_BOUND`` in magnitude mark
+the result as separated but still return it.
 """
 
 from __future__ import annotations
@@ -80,47 +83,31 @@ class MleResult:
 # -- probability kernels ----------------------------------------------------
 
 
-def _log_prob_matrix(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Row-wise log probabilities over all p states; theta is (p-1, q)."""
-    m = X.shape[0]
-    Z = X @ theta.T
-    L = np.concatenate([np.zeros((m, 1)), Z], axis=1)
-    mx = L.max(axis=1, keepdims=True)
-    lse = mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True))
-    return L - lse
-
-
-def _loglik(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
-    if theta.shape[0] == 1:
-        z = X @ theta[0]
-        return float(y @ z - np.logaddexp(0.0, z).sum())
-    LP = _log_prob_matrix(X, theta)
-    return float(LP[np.arange(X.shape[0]), y].sum())
-
-
-def _grad_matrix(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Score as a (p-1, q) matrix."""
+def _evaluate(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-likelihood at ``theta`` ((p-1, q)) and the (m, p-1) probabilities
+    of states 1..p-1; p = 2 takes the logistic forms."""
     if theta.shape[0] == 1:
         z = X @ theta[0]
         mu = np.exp(-np.logaddexp(0.0, -z))
-        return (X.T @ (y - mu))[np.newaxis, :]
-    P = np.exp(_log_prob_matrix(X, theta))
-    k = theta.shape[0]
-    G = np.empty_like(theta)
-    for j in range(k):
-        G[j] = X.T @ ((y == j + 1).astype(float) - P[:, j + 1])
+        return float(y @ z - np.logaddexp(0.0, z).sum()), mu[:, np.newaxis]
+    m = X.shape[0]
+    L = np.concatenate([np.zeros((m, 1)), X @ theta.T], axis=1)
+    mx = L.max(axis=1, keepdims=True)
+    LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
+    return float(LP[np.arange(m), y].sum()), np.exp(LP[:, 1:])
+
+
+def _score(X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Score as a (p-1, q) matrix, from the probabilities of ``_evaluate``."""
+    G = np.empty((P.shape[1], X.shape[1]))
+    for j in range(P.shape[1]):
+        G[j] = X.T @ ((y == j + 1) - P[:, j])
     return G
 
 
-def _hess_matrix(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _hess(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Observed-information Hessian of the log-likelihood, ((p-1)q, (p-1)q)."""
-    k, q = theta.shape
-    if k == 1:
-        z = X @ theta[0]
-        mu = np.exp(-np.logaddexp(0.0, -z))
-        w = mu * (1.0 - mu)
-        return -(X * w[:, np.newaxis]).T @ X
-    P = np.exp(_log_prob_matrix(X, theta))[:, 1:]
+    k, q = P.shape[1], X.shape[1]
     H = np.empty((k * q, k * q))
     for j in range(k):
         for l in range(j, k):
@@ -132,22 +119,25 @@ def _hess_matrix(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return H
 
 
+def _probs_at(design: LeafDesign, params: np.ndarray) -> np.ndarray:
+    theta = np.asarray(params, dtype=float).reshape(design.p - 1, design.n_cols)
+    return _evaluate(design.X, design.y, theta)[1]
+
+
 def gradient(design: LeafDesign, params: np.ndarray) -> np.ndarray:
     """Score vector at ``params`` (flattened (p-1, 1 + h*d), row-major)."""
-    theta = np.asarray(params, dtype=float).reshape(design.p - 1, design.n_cols)
-    return _grad_matrix(design.X, design.y, theta).ravel()
+    return _score(design.X, design.y, _probs_at(design, params)).ravel()
 
 
 def hessian(design: LeafDesign, params: np.ndarray) -> np.ndarray:
     """Hessian matrix at ``params``; symmetric and negative semidefinite."""
-    theta = np.asarray(params, dtype=float).reshape(design.p - 1, design.n_cols)
-    return _hess_matrix(design.X, theta)
+    return _hess(design.X, _probs_at(design, params))
 
 
 def design_loglik(design: LeafDesign, block: ParamBlock) -> float:
     """Log-likelihood of the design rows under ``block``."""
     theta = _theta_from_block(block, design.h, design.d)
-    return _loglik(design.X, design.y, theta)
+    return _evaluate(design.X, design.y, theta)[0]
 
 
 # -- coefficient block <-> flat parameter matrix -----------------------------
@@ -328,33 +318,33 @@ def fit_leaf(
         theta = _theta_from_block(start, h, design.d)
     else:
         theta = np.zeros((design.p - 1, sub.n_cols))
-    ll = _loglik(X, y, theta)
+    ll, P = _evaluate(X, y, theta)
     if trace is not None:
         trace.append(ll)
     iterations = 0
     separated = False
     while True:
-        G = _grad_matrix(X, y, theta)
-        converged = bool(np.max(np.abs(G)) <= grad_tol)
+        G = _score(X, y, P)
+        converged = bool(np.abs(G).max() <= grad_tol)
         if converged or separated or iterations >= max_iter:
             break
-        H = _hess_matrix(X, theta)
+        H = _hess(X, P)
         step = _solve_step(H, G.ravel()).reshape(theta.shape)
         floor = ll - 1e-10 * (1.0 + abs(ll))
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = theta + scale * step
-            ll_new = _loglik(X, y, cand)
+            ll_new, P_new = _evaluate(X, y, cand)
             if np.isfinite(ll_new) and ll_new >= floor:
                 break
             scale *= 0.5
         else:
             raise NotConverged(iterations + 1)
-        theta, ll = cand, ll_new
+        theta, ll, P = cand, ll_new, P_new
         iterations += 1
         if trace is not None:
             trace.append(ll)
-        separated = bool(np.max(np.abs(theta)) > SEPARATION_BOUND)
+        separated = bool(np.abs(theta).max() > SEPARATION_BOUND)
     if not (converged or separated):
         raise NotConverged(iterations)
     return MleResult(

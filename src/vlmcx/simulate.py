@@ -21,6 +21,7 @@ from .algorithm import (
     DEFAULT_S_GRID,
     FitConfig,
     FitReport,
+    _grid_configs,
     _nan_to_none,
     fit,
     select_tuning,
@@ -232,11 +233,15 @@ def compare_trees(truth: ModelSpec, fitted: FitReport) -> EvalMetrics:
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Per-run grid search settings for Monte-Carlo runs."""
+    """Per-run grid search settings for Monte-Carlo runs; an empty grid or an
+    invalid s or gamma raises ``DataError`` here, as in ``select_tuning``."""
 
     s_grid: tuple[int, ...] = DEFAULT_S_GRID
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     base: FitConfig = FitConfig()
+
+    def __post_init__(self) -> None:
+        _grid_configs(self.s_grid, self.gamma_grid, self.base)
 
 
 @dataclass

@@ -66,12 +66,18 @@ def _gamma_cf(a: float, x: float) -> float:
     return math.exp(log_prefactor) * frac
 
 
-def chi2_cdf(x: float, df: int) -> float:
-    """P(X <= x) for X chi-square with ``df`` degrees of freedom."""
+def _check_chi2_args(x: float, df: int) -> None:
     if df < 1:
         raise DomainError(f"degrees of freedom must be >= 1, got {df}")
+    if math.isnan(x):
+        raise DomainError("chi-square argument x is NaN")
     if x < 0:
         raise DomainError(f"chi-square support is [0, inf), got x={x}")
+
+
+def chi2_cdf(x: float, df: int) -> float:
+    """P(X <= x) for X chi-square with ``df`` degrees of freedom."""
+    _check_chi2_args(x, df)
     if not math.isfinite(x):
         return 1.0
     a = 0.5 * df
@@ -83,10 +89,7 @@ def chi2_cdf(x: float, df: int) -> float:
 
 def chi2_sf(x: float, df: int) -> float:
     """P(X > x), computed directly so tiny tails keep full precision."""
-    if df < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    if x < 0:
-        raise DomainError(f"chi-square support is [0, inf), got x={x}")
+    _check_chi2_args(x, df)
     if not math.isfinite(x):
         return 0.0
     a = 0.5 * df
@@ -160,7 +163,7 @@ def lrt(loglik_null: float, loglik_alt: float, df_removed: int) -> LrtResult:
     chi-square with ``df_removed`` degrees of freedom.  Small negative
     deviances (within ``DEVIANCE_TOL``) are clamped to zero; larger ones
     raise NestingViolation since a nested optimum can never beat the full
-    one.
+    one.  A NaN log-likelihood raises DomainError.
     """
     if df_removed < 1:
         raise DomainError(f"df_removed must be >= 1, got {df_removed}")

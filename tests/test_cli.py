@@ -255,6 +255,9 @@ class TestExitCodes:
         assert main([]) == 2
         assert main(["fit"]) == 2
         assert main(["frobnicate"]) == 2
+        # a grid flag with no values must not fall back to the default grid
+        for flag in ("--s-grid", "--gamma-grid"):
+            assert main(["fit", "--data", "d.csv", "--ingest", "i.json", "--tune", flag]) == 2
         capsys.readouterr()
 
     def test_data_errors_exit_three(self, tmp_path, capsys):
@@ -296,6 +299,9 @@ class TestExitCodes:
         )
         assert main(["fit", "--data", sim, "--ingest", spec, "--tune",
                      "--s-grid", "0", "2", "5", "--gamma-grid", "1e-3"]) == 3
+        assert "s must be >= 1" in capsys.readouterr().err
+        assert main(["evaluate", "--model", "model2", "--n", "300", "--runs", "2",
+                     "--tune", "--s-grid", "0"]) == 3
         assert "s must be >= 1" in capsys.readouterr().err
 
     def test_missing_model_file_exits_three(self, capsys):

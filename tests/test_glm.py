@@ -6,6 +6,7 @@ import pytest
 from vlmcx import ContextTree, Dataset, ParamBlock
 from vlmcx.errors import AlphabetMismatch, DataError, LagMismatch, NotConverged
 from vlmcx.glm import (
+    GRAD_TOL,
     LeafDesign,
     build_design,
     design_loglik,
@@ -256,10 +257,28 @@ class TestFitLeaf:
         assert res.loglik == pytest.approx(want_ll, abs=1e-10)
         assert res.params.h == 0
 
-    def test_loglik_matches_design_loglik(self):
-        design = self.intercept_only_design(7, 13)
-        res = fit_leaf(design)
-        assert design_loglik(design, res.params) == pytest.approx(res.loglik, abs=1e-12)
+    def test_loglik_matches_design_loglik(self, rng):
+        # the log-likelihood fit_leaf carries through its iterations is
+        # exactly that of the params it returns, for every p, constrained h
+        # and warm start; a converged fit's score there is within tolerance
+        designs = [self.intercept_only_design(7, 13)] + [
+            random_design(rng, m=150, h=2, d=2, p=p) for p in (2, 3, 4) for _ in range(4)
+        ]
+        converged = 0
+        for design in designs:
+            full = fit_leaf(design)
+            for h in range(design.h + 1):
+                sub = design.truncated(h)
+                for start in (None, full.params):
+                    res = fit_leaf(design, h, start=start)
+                    assert design_loglik(sub, res.params) == res.loglik
+                    if res.converged:
+                        converged += 1
+                        theta = np.column_stack(
+                            [res.params.alpha, res.params.beta.reshape(design.p - 1, -1)]
+                        )
+                        assert np.max(np.abs(gradient(sub, theta.ravel()))) <= GRAD_TOL
+        assert converged > 0
 
     def test_score_vanishes_at_optimum(self, rng):
         design = random_design(rng, m=120, h=2, d=1, p=3)

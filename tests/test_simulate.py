@@ -258,6 +258,14 @@ class TestMonteCarlo:
         for key in summary.selected:
             assert key.startswith("s=")
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"s_grid": (0,)}, {"s_grid": ()}, {"gamma_grid": (1.5,)}]
+    )
+    def test_invalid_grid_rejected_on_construction(self, kwargs):
+        # an invalid grid is a usage error, not a study of failed runs
+        with pytest.raises(DataError):
+            TuningGrid(**kwargs)
+
     def test_rejects_zero_runs(self):
         with pytest.raises(DataError):
             monte_carlo(builtin_model("model1"), 100, 0)

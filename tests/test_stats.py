@@ -71,6 +71,10 @@ class TestChi2Cdf:
             chi2_cdf(-3.0, 2)
         with pytest.raises(DomainError):
             chi2_cdf(1.0, 0)
+        with pytest.raises(DomainError, match="NaN"):
+            chi2_cdf(math.nan, 1)
+        with pytest.raises(DomainError, match="NaN"):
+            chi2_sf(math.nan, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -144,3 +148,5 @@ class TestLrt:
     def test_df_validated(self):
         with pytest.raises(DomainError):
             lrt(-6.0, -5.0, 0)
+        with pytest.raises(DomainError, match="NaN"):
+            lrt(math.nan, 0.0, 1)
