@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import glm
-from .core import Context, ContextTree, Dataset, ParamBlock, context_label, count_occurrences
+from .core import Context, ContextTree, Dataset, ParamBlock, context_label, context_rows, count_occurrences
 from .errors import (
     AllFitsFailed,
     AlphabetMismatch,
@@ -47,6 +47,16 @@ from .stats import LrtResult, lrt
 
 DEFAULT_S_GRID = (2, 5, 10)
 DEFAULT_GAMMA_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int; ``DataError`` unless it is a Python or numpy
+    integer (a bool is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DataError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -67,12 +77,10 @@ class FitConfig:
     ic_include_intercepts: bool = False
 
     def __post_init__(self) -> None:
-        if self.s < 1:
-            raise DataError(f"s must be >= 1, got {self.s}")
+        object.__setattr__(self, "s", _integer("s", self.s, 1))
         if not 0.0 < self.gamma < 1.0:
             raise DataError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.max_order_cap < 1:
-            raise DataError(f"max_order_cap must be >= 1, got {self.max_order_cap}")
+        object.__setattr__(self, "max_order_cap", _integer("max_order_cap", self.max_order_cap, 1))
 
     def replace(self, **kw) -> "FitConfig":
         return dataclasses.replace(self, **kw)
@@ -225,16 +233,12 @@ def _grow_structure(data: Dataset, p: int, s: int, cap: int) -> set[Context]:
 # -- the pruning engine ----------------------------------------------------------
 
 
-# A design's provenance: ("w", u) for leaf u's window rows, or
-# ("m", parent, child provenances) for a merged parent's stacked rows.  With
-# the data and horizon fixed it determines the design's content.
-Provenance = tuple
-
-
 @dataclass(frozen=True)
 class _LeafState:
+    """A leaf's transition times in design-row order, its design and its fit."""
+
+    rows: np.ndarray
     design: LeafDesign
-    provenance: Provenance
     fit: glm.MleResult
 
 
@@ -265,7 +269,7 @@ class _Engine:
             data, self.p, config.s, config.max_order_cap
         )
         self.order = max(len(u) for u in self.nodes)
-        self.horizon = self.order if horizon is None else int(horizon)
+        self.horizon = self.order if horizon is None else _integer("horizon", horizon, 0)
         if self.horizon < self.order:
             raise DataError(f"horizon {self.horizon} below tree order {self.order}")
         if self.horizon >= data.n:
@@ -286,24 +290,21 @@ class _Engine:
         """Fit every leaf of the structure with all its lags from scratch, or
         each seeded leaf at its block's lag count from the block."""
         starts = dict.fromkeys(self._leaf_contexts()) if seed is None else seed
-        designs = {
-            u: glm._window_design(self.data, u, len(u), self.horizon, self.p)
-            for u in sorted(starts)
-        }
-        assigned = sum(design.m for design in designs.values())
+        rows = {u: context_rows(self.data, u, self.horizon) for u in sorted(starts)}
+        assigned = sum(r.size for r in rows.values())
         if seed is None and assigned != self.data.n - self.horizon:
             raise VlmcxError(
                 f"internal error: {assigned} of {self.data.n - self.horizon} "
                 f"transitions assigned to leaves"
             )
-        for u, design in designs.items():
+        for u, r in rows.items():
             block = starts[u]
-            h = design.h if block is None else block.h
-            self.leaves[u] = self._fit_state(design, ("w", u), h=h, start=block)
+            h = len(u) if block is None else block.h
+            self.leaves[u] = self._fit_state(u, r, h=h, start=block)
 
-    def _fit(self, design: LeafDesign, provenance: Provenance, h: int,
+    def _fit(self, rows: np.ndarray, design: LeafDesign, h: int,
              start: ParamBlock | None = None) -> glm.MleResult:
-        """``fit_leaf`` through the engine's fit cache.
+        """``fit_leaf`` through the engine's fit cache, keyed by the design's rows.
 
         Only successful fits are stored: a failure is recomputed, since a
         kept exception would hold its traceback and, through it, the engine.
@@ -311,17 +312,18 @@ class _Engine:
         warm = None if start is None else (
             start.alpha.tobytes(), start.beta.tobytes(), start.beta.shape
         )
-        key = (provenance, h, warm)
+        key = (rows.tobytes(), h, warm)
         if key in self._fit_cache:
             return self._fit_cache[key]
         res = fit_leaf(design, h, start=start)
         self._fit_cache[key] = res
         return res
 
-    def _fit_state(self, design: LeafDesign, provenance: Provenance, h: int,
+    def _fit_state(self, u: Context, rows: np.ndarray, h: int,
                    start: ParamBlock | None) -> _LeafState:
-        """Fit one leaf, else its intercept-only model, else hold zeros (the
-        null fit of a leaf without rows); a zero block reports 0 iterations."""
+        """Fit leaf ``u`` on ``rows``, else its intercept-only model, else hold
+        zeros (the null fit of a leaf without rows); a zero block reports 0 iterations."""
+        design = glm._design(self.data, u, rows, len(u), self.p)
         res = None
         if design.m == 0:
             self.notes.append(
@@ -329,10 +331,10 @@ class _Engine:
             )
         else:
             try:
-                res = self._fit(design, provenance, h, start)
+                res = self._fit(rows, design, h, start)
             except NotConverged:
                 try:
-                    res = self._fit(design, provenance, 0)
+                    res = self._fit(rows, design, 0)
                     self.notes.append(
                         f"fit at {context_label(design.context)} with {h} lags did not "
                         f"converge; fell back to intercept only"
@@ -351,7 +353,7 @@ class _Engine:
                 f"separation at {context_label(design.context)}: "
                 f"a coefficient passed {glm.SEPARATION_BOUND} in magnitude"
             )
-        return _LeafState(design, provenance, res)
+        return _LeafState(rows, design, res)
 
     def clone(self, config: FitConfig) -> "_Engine":
         eng = copy.copy(self)
@@ -417,7 +419,7 @@ class _Engine:
         h = st.fit.params.h
         df = (self.p - 1) * self.d
         try:
-            res = self._fit(st.design, st.provenance, h - 1, st.fit.params)
+            res = self._fit(st.rows, st.design, h - 1, st.fit.params)
         except (NotConverged, DataError) as exc:
             self.notes.append(
                 f"constrained fit at {context_label(u)} (lag {h}) failed: {exc}; "
@@ -439,7 +441,7 @@ class _Engine:
                 test = LrtResult(0.0, df, 1.0)
             dropped = test.p_value > gamma_eff
         if dropped:
-            self.leaves[u] = _LeafState(st.design, st.provenance, res)
+            self.leaves[u] = _LeafState(st.rows, st.design, res)
         self.audit.append(
             AuditRecord(
                 kind, (u,), h, test.statistic, test.df, test.p_value,
@@ -455,16 +457,11 @@ class _Engine:
 
     def _merge_test(self, parent: Context, children: list[Context], gamma_eff: float) -> bool:
         p, d = self.p, self.d
-        ell = len(parent)
         states = [self.leaves[c] for c in children]
-        cols = 1 + ell * d
-        X = np.vstack([s.design.X[:, :cols] for s in states])
-        y = np.concatenate([s.design.y for s in states])
-        design = LeafDesign(context=parent, X=X, y=y, h=ell, d=d, p=p)
         ll_alt = sum(s.fit.loglik for s in states)
         params_alt = sum((p - 1) * (1 + d * s.fit.params.h) for s in states)
-        provenance = ("m", parent, tuple(s.provenance for s in states))
-        null_state = self._fit_state(design, provenance, h=ell, start=None)
+        rows = np.concatenate([s.rows for s in states])
+        null_state = self._fit_state(parent, rows, h=len(parent), start=None)
         params_null = (p - 1) * (1 + d * null_state.fit.params.h)
         df = params_alt - params_null
         if df < 1:
@@ -516,7 +513,7 @@ class _Engine:
         leaf_stats = [
             LeafDiagnostics(
                 context=u,
-                n_obs=st.design.m,
+                n_obs=st.rows.size,
                 h=st.fit.params.h,
                 loglik=st.fit.loglik,
                 converged=st.fit.converged,
@@ -581,8 +578,7 @@ def _seeded_engine(
     horizon: int | None,
 ) -> _Engine:
     """Engine holding ``leaves`` of ``tree``, each refitted from its block."""
-    if data.d != tree.d:
-        raise AlphabetMismatch(f"data has d={data.d}, tree d={tree.d}")
+    glm._check_alphabet(tree, data)
     return _Engine(
         data, config or FitConfig(), p=tree.p, horizon=horizon,
         structure=set(tree.nodes), seed={c: tree.block(c) for c in leaves},
@@ -619,7 +615,7 @@ def test_pastmost_beta(
     st = engine.leaves[u]
     if st.fit.params.h < h:
         # the leaf has no rows, or its refit fell back to fewer lags
-        error = DataError if st.design.m == 0 else NumericalError
+        error = DataError if st.rows.size == 0 else NumericalError
         raise error(f"cannot test {context_label(u)}: " + "; ".join(engine.notes))
     engine._lag_drop_test(u, engine.config.gamma, "deepest_lag")
     return _last_test(engine), tree.with_block(u, engine.leaves[u].fit.params)
@@ -734,7 +730,7 @@ def _grid_configs(
     s_grid: Sequence[int], gamma_grid: Sequence[float], base: FitConfig
 ) -> dict[int, list[FitConfig]]:
     """Every grid point's config by ascending s; ``DataError`` if any is invalid."""
-    s_values = sorted(set(int(s) for s in s_grid))
+    s_values = sorted({_integer("s", s, 1) for s in s_grid})
     gamma_values = sorted(set(float(g) for g in gamma_grid))
     if not s_values or not gamma_values:
         raise DataError("tuning grids must be non-empty")
@@ -759,10 +755,10 @@ def select_tuning(
     BIC wins whatever its s.  Every grid point's config is validated before
     any tree is grown, so an invalid s or gamma raises ``DataError``.
 
-    Grid points share leaf fits within one call: a regression fitted on the
-    same rows with the same lag count and warm start is fitted once and
-    reused, so every candidate equals a separate ``fit`` at that (s, gamma)
-    and horizon.
+    Grid points share leaf fits within one call, keyed by a regression's
+    rows (its transition times, in design-row order), lag count and warm
+    start: one fitted on the same rows is fitted once and reused, so every
+    candidate equals a separate ``fit`` at that (s, gamma) and horizon.
     """
     base = config or FitConfig()
     grid = _grid_configs(s_grid, gamma_grid, base)

@@ -402,6 +402,16 @@ class Dataset:
         return int(self.covariates.shape[1])
 
 
+def context_rows(data: Dataset, u: Context, start: int, stop: int | None = None) -> np.ndarray:
+    """Time points ``t`` in ``[start, stop)`` (``stop`` at most ``n + 1``,
+    default ``n``; ``start >= len(u)``) with ``states[t-1-j] == u[j]`` for all j."""
+    stop = max(start, data.n if stop is None else stop)
+    mask = np.ones(stop - start, dtype=bool)
+    for j, sym in enumerate(u):
+        mask &= data.states[start - 1 - j : stop - 1 - j] == sym
+    return start + np.flatnonzero(mask)
+
+
 def count_occurrences(data: Dataset, v: Context | Sequence[int]) -> int:
     """Number of windows of the state sequence equal to ``v``.
 
@@ -409,14 +419,7 @@ def count_occurrences(data: Dataset, v: Context | Sequence[int]) -> int:
     empty context matches every position, giving ``n``.
     """
     v = _as_context(v)
-    ell = len(v)
-    if ell == 0:
+    if not v:
         return data.n
-    if ell > data.n:
-        return 0
-    states = data.states
-    idx = np.arange(ell - 1, data.n)
-    mask = np.ones(idx.size, dtype=bool)
-    for j, sym in enumerate(v):
-        mask &= states[idx - j] == sym
-    return int(np.count_nonzero(mask))
+    # the window ending at position i is the history read at t = i + 1
+    return int(context_rows(data, v, len(v), data.n + 1).size)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Context, ContextTree, Dataset, ParamBlock, context_label
+from .core import Context, ContextTree, Dataset, ParamBlock, context_label, context_rows
 from .errors import (
     AlphabetMismatch,
     DataError,
@@ -200,6 +200,13 @@ def transition_probability(block: ParamBlock, recent_covariates, target: int) ->
 # -- designs and sequence likelihood ------------------------------------------
 
 
+def _check_alphabet(tree: ContextTree, data: Dataset) -> None:
+    if data.d != tree.d:
+        raise AlphabetMismatch(f"data has d={data.d}, tree d={tree.d}")
+    if data.states.max(initial=0) >= tree.p:
+        raise AlphabetMismatch(f"state {int(data.states.max())} outside 0..{tree.p - 1}")
+
+
 def build_design(
     data: Dataset,
     tree: ContextTree,
@@ -216,10 +223,7 @@ def build_design(
     u = tuple(int(s) for s in u)
     if u not in tree.nodes:
         raise DataError(f"unknown context {context_label(u)}")
-    if data.d != tree.d:
-        raise AlphabetMismatch(f"data has d={data.d}, tree d={tree.d}")
-    if data.states.max(initial=0) >= tree.p:
-        raise AlphabetMismatch(f"state {int(data.states.max())} outside 0..{tree.p - 1}")
+    _check_alphabet(tree, data)
     if h is None:
         block = tree.nodes.get(u)
         h = block.h if block is not None else len(u)
@@ -229,21 +233,17 @@ def build_design(
         horizon = tree.order
     if horizon < len(u):
         raise ValueError(f"horizon {horizon} shorter than context {context_label(u)}")
-    return _window_design(data, u, h, horizon, tree.p)
+    return _design(data, u, context_rows(data, u, horizon), h, tree.p)
 
 
-def _window_design(data: Dataset, u: Context, h: int, horizon: int, p: int) -> LeafDesign:
-    states = data.states
-    idx = np.arange(horizon, data.n)
-    mask = np.ones(idx.size, dtype=bool)
-    for j, sym in enumerate(u):
-        mask &= states[idx - 1 - j] == sym
-    sel = idx[mask]
-    X = np.empty((sel.size, 1 + h * data.d))
+def _design(data: Dataset, u: Context, rows: np.ndarray, h: int, p: int) -> LeafDesign:
+    """Leaf ``u``'s design on the transitions at time points ``rows``, in
+    that order, with ``h`` lags."""
+    X = np.empty((rows.size, 1 + h * data.d))
     X[:, 0] = 1.0
     for lag in range(1, h + 1):
-        X[:, 1 + (lag - 1) * data.d : 1 + lag * data.d] = data.covariates[sel - lag]
-    return LeafDesign(context=u, X=X, y=states[sel].astype(np.int64), h=h, d=data.d, p=p)
+        X[:, 1 + (lag - 1) * data.d : 1 + lag * data.d] = data.covariates[rows - lag]
+    return LeafDesign(context=u, X=X, y=data.states[rows], h=h, d=data.d, p=p)
 
 
 def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None) -> float:
@@ -253,10 +253,7 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
     Evaluated one transition at a time by walking the tree, independently of
     the per-leaf design decomposition used during fitting.
     """
-    if data.d != tree.d:
-        raise AlphabetMismatch(f"data has d={data.d}, tree d={tree.d}")
-    if data.states.max(initial=0) >= tree.p:
-        raise AlphabetMismatch(f"state {int(data.states.max())} outside 0..{tree.p - 1}")
+    _check_alphabet(tree, data)
     if horizon is None:
         horizon = tree.order
     states = data.states

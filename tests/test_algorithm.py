@@ -29,7 +29,8 @@ from vlmcx.errors import (
     NotConverged,
     NumericalError,
 )
-from vlmcx.glm import build_design, fit_leaf, log_likelihood
+from vlmcx.glm import LeafDesign, build_design, fit_leaf, log_likelihood
+from vlmcx.stats import lrt
 
 
 def grow_oracle(data, p, s, cap):
@@ -82,11 +83,19 @@ class TestFitConfig:
             {"gamma": 1.0},
             {"gamma": -0.5},
             {"max_order_cap": 0},
+            {"s": 2.5},
+            {"s": True},
+            {"max_order_cap": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(DataError):
             FitConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        cfg = FitConfig(s=np.int64(5), max_order_cap=np.int32(4))
+        assert (type(cfg.s), type(cfg.max_order_cap)) == (int, int)
+        assert json.loads(json.dumps(cfg.to_dict()))["s"] == 5
 
     def test_replace_keeps_other_fields(self):
         cfg = FitConfig(s=5, gamma=1e-4, bonferroni=True)
@@ -187,6 +196,11 @@ class TestFit:
         rep = fit(model2_data, horizon=8)
         assert rep.horizon == 8
         assert rep.n_eff == model2_data.n - 8
+
+    def test_horizon_must_be_an_integer(self, model2_data):
+        with pytest.raises(DataError, match="horizon must be an integer, got 7.5"):
+            fit(model2_data, horizon=7.5)
+        assert type(fit(model2_data, horizon=np.int64(8)).horizon) is int
 
     def test_leaf_stats_cover_leaves(self, model2_data):
         rep = fit(model2_data)
@@ -372,6 +386,28 @@ class TestMergeSiblingsTest:
         assert out.is_leaf((0,))
         assert out.block((0,)).h <= 1
 
+    def test_merged_parent_stacks_child_rows_in_child_order(self):
+        # the parent is fitted on its children's rows in child order, not in
+        # time order; its coefficients and the statistic differ between the
+        # two orders in the last bits
+        data = covariate_chain(4000, 5, lambda t, x, y: 0.3 + 1.2 * x[t - 1])
+        tree = self.fixture_tree()
+        test, out = merge_siblings_test(tree, (0,), data, FitConfig(gamma=1e-6))
+        assert out.is_leaf((0,))
+        children = tree.children((0,))
+        ll_alt = sum(
+            fit_leaf(build_design(data, tree, c, h=2), 1, start=tree.block(c)).loglik
+            for c in children
+        )
+        designs = [build_design(data, tree, c, h=1) for c in children]
+        stacked = LeafDesign(
+            context=(0,), X=np.vstack([dz.X for dz in designs]),
+            y=np.concatenate([dz.y for dz in designs]), h=1, d=1, p=2,
+        )
+        merged = fit_leaf(stacked)
+        assert out.block((0,)) == merged.params
+        assert test.statistic == lrt(merged.loglik, ll_alt, test.df).statistic
+
     def test_distinct_laws_stay_split(self):
         data = covariate_chain(
             4000, 5, lambda t, x, y: (2.0 if y[t - 2] else -1.5) + 1.2 * x[t - 1]
@@ -510,6 +546,10 @@ class TestSelectTuning:
     def test_empty_grid_rejected(self, model2_data):
         with pytest.raises(DataError):
             select_tuning(model2_data, s_grid=[], gamma_grid=[1e-2])
+
+    def test_non_integer_s_rejected(self, model2_data):
+        with pytest.raises(DataError, match="s must be an integer, got 2.5"):
+            select_tuning(model2_data, s_grid=(2.5,), gamma_grid=(1e-3,))
 
     def test_invalid_s_rejected_before_growing(self):
         # s=0 grows the tree to depth log2 n, which would set the shared

@@ -259,7 +259,8 @@ class TestMonteCarlo:
             assert key.startswith("s=")
 
     @pytest.mark.parametrize(
-        "kwargs", [{"s_grid": (0,)}, {"s_grid": ()}, {"gamma_grid": (1.5,)}]
+        "kwargs",
+        [{"s_grid": (0,)}, {"s_grid": ()}, {"gamma_grid": (1.5,)}, {"s_grid": (2.9,)}],
     )
     def test_invalid_grid_rejected_on_construction(self, kwargs):
         # an invalid grid is a usage error, not a study of failed runs
