@@ -29,7 +29,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import glm
-from .core import Context, ContextTree, Dataset, ParamBlock, context_label, context_rows, count_occurrences
+from .core import (
+    Context,
+    ContextTree,
+    Dataset,
+    ParamBlock,
+    _integer,
+    context_label,
+    context_rows,
+    count_occurrences,
+)
 from .errors import (
     AllFitsFailed,
     AlphabetMismatch,
@@ -47,16 +56,6 @@ from .stats import LrtResult, lrt
 
 DEFAULT_S_GRID = (2, 5, 10)
 DEFAULT_GAMMA_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int; ``DataError`` unless it is a Python or numpy
-    integer (a bool is not) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise DataError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,9 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", _integer("s", self.s, 1))
+        number = (int, float, np.integer, np.floating)
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, number):
+            raise DataError(f"gamma must be a number, got {self.gamma!r}")
         if not 0.0 < self.gamma < 1.0:
             raise DataError(f"gamma must be in (0, 1), got {self.gamma}")
         object.__setattr__(self, "max_order_cap", _integer("max_order_cap", self.max_order_cap, 1))
@@ -183,10 +185,9 @@ def _infer_p(data: Dataset, p: int | None) -> int:
     observed = int(data.states.max()) + 1
     if p is None:
         return max(observed, 2)
+    p = _integer("p", p, 2)
     if p < observed:
         raise AlphabetMismatch(f"state {observed - 1} outside 0..{p - 1}")
-    if p < 2:
-        raise AlphabetMismatch(f"need at least two states, got p={p}")
     return p
 
 

@@ -43,6 +43,16 @@ def _as_context(u: Iterable[int]) -> Context:
     return tuple(int(s) for s in u)
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int; ``DataError`` unless it is a Python or numpy
+    integer (a bool is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DataError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(eq=False)
 class ParamBlock:
     """Regression coefficients attached to one context.

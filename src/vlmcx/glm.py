@@ -21,11 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Context, ContextTree, Dataset, ParamBlock, context_label, context_rows
+from .core import (
+    Context,
+    ContextTree,
+    Dataset,
+    ParamBlock,
+    _integer,
+    context_label,
+    context_rows,
+)
 from .errors import (
     AlphabetMismatch,
     DataError,
+    HistoryTooShort,
     LagMismatch,
+    MalformedModel,
     NotConverged,
 )
 
@@ -227,10 +237,10 @@ def build_design(
     if h is None:
         block = tree.nodes.get(u)
         h = block.h if block is not None else len(u)
-    if not 0 <= h <= len(u):
+    h = _integer("h", h, 0)
+    if h > len(u):
         raise ValueError(f"h={h} outside [0, {len(u)}]")
-    if horizon is None:
-        horizon = tree.order
+    horizon = tree.order if horizon is None else _integer("horizon", horizon, 0)
     if horizon < len(u):
         raise ValueError(f"horizon {horizon} shorter than context {context_label(u)}")
     return _design(data, u, context_rows(data, u, horizon), h, tree.p)
@@ -250,24 +260,64 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
     """Log-likelihood of the sequence, conditioning on the first ``horizon``
     states (default: the tree's order).
 
-    Evaluated one transition at a time by walking the tree, independently of
-    the per-leaf design decomposition used during fitting.
+    The time points ``horizon .. n-1`` start at the root and are split at
+    each internal node of depth ``k`` by ``states[t-1-k]``, so each leaf
+    gets the transitions whose history it matches.  A leaf scores all of
+    them at once with its own log-softmax (baseline 0).  This walk is the
+    tree's own and shares nothing with the leaf designs used in fitting,
+    so it checks them independently.
+
+    Raises, for the earliest time point that fails, what walking its
+    history with ``ContextTree.lookup`` raises (``HistoryTooShort`` or
+    ``MalformedModel`` for a missing branch), or ``MalformedModel`` when
+    the leaf it reaches has no parameters.
     """
     _check_alphabet(tree, data)
-    if horizon is None:
-        horizon = tree.order
-    states = data.states
+    horizon = tree.order if horizon is None else _integer("horizon", horizon, 0)
+    states, cov = data.states, data.covariates
+    failures: list[tuple[int, Exception]] = []
     total = 0.0
-    for i in range(horizon, data.n):
-        hist = states[:i][::-1]
-        leaf = tree.lookup(hist)
-        block = tree.block(leaf)
-        hh = block.h
-        window = data.covariates[i - hh : i][::-1] if hh > 0 else None
-        x = _lag_vector(block, window)
-        z = np.concatenate([[0.0], block.alpha + block.beta.reshape(block.n_targets, -1) @ x])
-        mx = z.max()
-        total += float(z[states[i]] - (mx + np.log(np.exp(z - mx).sum())))
+    stack: list[tuple[Context, np.ndarray]] = [((), np.arange(horizon, data.n))]
+    while stack:
+        node, t = stack.pop()
+        if t.size == 0:
+            continue
+        depth = len(node)
+        if tree.is_leaf(node):
+            block = tree.nodes[node]
+            if block is None:
+                failures.append((int(t[0]), MalformedModel(
+                    f"no parameters at {context_label(node)}"
+                )))
+                continue
+            eta = np.tile(block.alpha, (t.size, 1))
+            for lag in range(1, block.h + 1):
+                eta += cov[t - lag] @ block.beta[:, lag - 1, :].T
+            z = np.concatenate([np.zeros((t.size, 1)), eta], axis=1)
+            mx = z.max(axis=1)
+            norm = mx + np.log(np.exp(z - mx[:, np.newaxis]).sum(axis=1))
+            total += float((z[np.arange(t.size), states[t]] - norm).sum())
+            continue
+        # t is ascending, so the histories too short to pass are a prefix
+        if t[0] <= depth:
+            failures.append((int(t[0]), HistoryTooShort(
+                f"history of length {int(t[0])} cannot resolve below {context_label(node)}"
+            )))
+            t = t[t > depth]
+        sym = states[t - 1 - depth]
+        for w in range(tree.p):
+            reach = t[sym == w]
+            child = node + (w,)
+            if reach.size == 0:
+                continue
+            if child not in tree.nodes:
+                failures.append((int(reach[0]), MalformedModel(
+                    f"history does not resolve: no branch {context_label(child)}"
+                )))
+                continue
+            stack.append((child, reach))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return total
 
 

@@ -8,6 +8,7 @@ steps are kept.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections import Counter
@@ -26,7 +27,7 @@ from .algorithm import (
     fit,
     select_tuning,
 )
-from .core import Context, ContextTree, Dataset, ParamBlock, context_label
+from .core import Context, ContextTree, Dataset, ParamBlock, _integer, context_label
 from .errors import AlphabetMismatch, DataError, UnknownModel, VlmcxError
 
 _COVARIATE_LAWS = ("standard_normal",)
@@ -119,58 +120,73 @@ def builtin_model(name: str) -> ModelSpec:
 BUILTIN_MODELS = ("model1", "model2", "model3")
 
 
+def _next_state_law(z: np.ndarray, binary: bool) -> float | list[float]:
+    """Law of the next state given the linear predictors ``z`` of states
+    1..p-1: P(state 1) when ``binary``, else the cumulative probabilities of
+    states 0..p-1."""
+    if binary:
+        return 1.0 / (1.0 + math.exp(-float(z[0])))
+    full = np.concatenate(([0.0], z))
+    full -= np.maximum.reduce(full)
+    probs = np.exp(full)
+    probs /= np.add.reduce(probs)
+    return np.add.accumulate(probs).tolist()
+
+
 def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset:
     """Simulate ``n`` observations after ``burn_in`` discarded steps.
 
     The pre-sample history is all zeros and covariate lags reaching before
     the start count as zero; with the default burn-in neither leaves a trace
     in the returned sample.  The same seed always returns the same data.
+
+    The generator draws every covariate row first, then one uniform per
+    step.  With two states a step gives state 1 when its uniform falls
+    below P(state 1); otherwise the uniform inverts the cumulative
+    probabilities of states 0..p-1.  Each step's leaf comes from its last
+    ``order`` states, looked up in the tree once per distinct history.
     """
-    if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise DataError(f"burn_in must be >= 0, got {burn_in}")
+    n = _integer("n", n, 1)
+    burn_in = _integer("burn_in", burn_in, 0)
     tree = spec.tree
     p, d, eta = tree.p, tree.d, tree.order
+    binary = p == 2
     rng = np.random.default_rng(seed)
     total = burn_in + n
     cov = rng.standard_normal((total, d)) if d > 0 else np.zeros((total, 0))
-    states = np.zeros(total, dtype=np.int64)
-    # flattened per-leaf coefficients; row j of b covers target j+1
-    cache: dict[Context, tuple[np.ndarray, np.ndarray, int]] = {}
+    uniforms = rng.random(total).tolist()
+    # row i holds the covariate rows i-1, i-2, ... (zero before the start),
+    # so a leaf with h lags reads its first h*d entries
+    H = tree.covariate_order
+    lagged = np.zeros((total, H * d))
+    for lag in range(1, min(H, total) + 1):
+        lagged[lag:, (lag - 1) * d : lag * d] = cov[: total - lag]
+    # per leaf: alpha, flattened beta (row j covers target j+1), h*d, and the
+    # next state's law when no covariate enters
+    params: dict[Context, tuple] = {}
     for u in tree.leaves():
         block = tree.nodes[u]
-        cache[u] = (
-            np.asarray(block.alpha),
-            np.asarray(block.beta.reshape(block.n_targets, -1)),
-            block.h,
-        )
-    hist: list[int] = [0] * eta
-    binary = p == 2
+        alpha = np.asarray(block.alpha)
+        width = block.h * d
+        fixed = None if width else _next_state_law(alpha, binary)
+        params[u] = (alpha, np.asarray(block.beta.reshape(block.n_targets, -1)), width, fixed)
+    leaf_of: dict[Context, tuple] = {}
+    states = np.zeros(total, dtype=np.int64)
+    hist: Context = (0,) * eta
     for i in range(total):
-        leaf = tree.lookup(hist)
-        alpha, bflat, h = cache[leaf]
-        if h > 0:
-            window = np.zeros(h * d)
-            take = min(h, i)
-            if take:
-                window[: take * d] = cov[i - take : i][::-1].ravel()
-            z = alpha + bflat @ window
-        else:
-            z = alpha
+        leaf = leaf_of.get(hist)
+        if leaf is None:
+            leaf = leaf_of[hist] = params[tree.lookup(hist)]
+        alpha, bflat, width, law = leaf
+        if law is None:
+            law = _next_state_law(alpha + bflat @ lagged[i, :width], binary)
         if binary:
-            prob1 = 1.0 / (1.0 + math.exp(-float(z[0])))
-            yi = 1 if rng.random() < prob1 else 0
+            yi = 1 if uniforms[i] < law else 0
         else:
-            full = np.concatenate([[0.0], z])
-            full -= full.max()
-            probs = np.exp(full)
-            probs /= probs.sum()
-            yi = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-            yi = min(yi, p - 1)
+            yi = min(bisect.bisect_right(law, uniforms[i]), p - 1)
         states[i] = yi
         if eta:
-            hist = [yi] + hist[: eta - 1]
+            hist = (yi,) + hist[:-1]
     return Dataset(states=states[burn_in:], covariates=cov[burn_in:])
 
 

@@ -278,6 +278,35 @@ def test_criterion_8_likelihood_oracle():
     assert worst <= 1e-10
 
 
+def random_unbalanced_tree(rng, p, d, max_depth=4):
+    """Complete tree whose branches stop at random depths, with random
+    coefficients and a random lag count (at most the depth) on each leaf."""
+    nodes = {}
+    level = [()]
+    while level:
+        u = level.pop()
+        if len(u) < max_depth and (u == () or rng.random() < 0.5):
+            nodes[u] = None
+            level.extend(u + (w,) for w in range(p))
+            continue
+        h = int(rng.integers(0, len(u) + 1)) if d else 0
+        nodes[u] = ParamBlock(alpha=rng.normal(size=p - 1), beta=rng.normal(size=(p - 1, h, d)))
+    return ContextTree(p=p, d=d, nodes=nodes)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_likelihood_oracle_on_unbalanced_trees(p, d):
+    rng = np.random.default_rng(100 * p + d)
+    for _ in range(3):
+        tree = random_unbalanced_tree(rng, p, d)
+        n = int(rng.integers(480, 520))
+        data = Dataset(states=rng.integers(0, p, size=n), covariates=rng.normal(size=(n, d)))
+        for horizon in (tree.order, tree.order + 3):
+            got = log_likelihood(tree, data, horizon=horizon)
+            assert got == pytest.approx(brute_loglik(tree, data, horizon), abs=1e-9)
+
+
 def test_criterion_9_gamma_boundaries(model2_data):
     tight = fit(model2_data, FitConfig(gamma=1e-300))
     loose = fit(model2_data, FitConfig(gamma=1.0 - 1e-9))

@@ -86,6 +86,7 @@ class TestFitConfig:
             {"s": 2.5},
             {"s": True},
             {"max_order_cap": 2.5},
+            {"gamma": "0.1"},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -137,6 +138,12 @@ class TestMaximalTree:
     def test_depth_cap_respected(self, model2_data):
         tree = build_maximal_tree(model2_data, FitConfig(max_order_cap=1))
         assert tree.order == 1
+
+    @pytest.mark.parametrize("p, message", [(2.5, "p must be an integer, got 2.5"),
+                                            (1, "p must be >= 2, got 1")])
+    def test_p_must_be_an_integer_of_at_least_two(self, model2_data, p, message):
+        with pytest.raises(DataError, match=message):
+            build_maximal_tree(model2_data, p=p)
 
     def test_deterministic(self, model2_data):
         a = build_maximal_tree(model2_data, FitConfig(s=5))
@@ -201,6 +208,10 @@ class TestFit:
         with pytest.raises(DataError, match="horizon must be an integer, got 7.5"):
             fit(model2_data, horizon=7.5)
         assert type(fit(model2_data, horizon=np.int64(8)).horizon) is int
+
+    def test_p_must_be_an_integer(self, model2_data):
+        with pytest.raises(DataError, match="p must be an integer, got 2.5"):
+            fit(model2_data, p=2.5)
 
     def test_leaf_stats_cover_leaves(self, model2_data):
         rep = fit(model2_data)
@@ -550,6 +561,10 @@ class TestSelectTuning:
     def test_non_integer_s_rejected(self, model2_data):
         with pytest.raises(DataError, match="s must be an integer, got 2.5"):
             select_tuning(model2_data, s_grid=(2.5,), gamma_grid=(1e-3,))
+
+    def test_non_integer_p_rejected(self, model2_data):
+        with pytest.raises(DataError, match="p must be an integer, got 2.5"):
+            select_tuning(model2_data, s_grid=(2,), gamma_grid=(1e-3,), p=2.5)
 
     def test_invalid_s_rejected_before_growing(self):
         # s=0 grows the tree to depth log2 n, which would set the shared

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from vlmcx import ContextTree, Dataset, ParamBlock
-from vlmcx.errors import AlphabetMismatch, DataError, LagMismatch, NotConverged
+from vlmcx.errors import (
+    AlphabetMismatch,
+    DataError,
+    HistoryTooShort,
+    LagMismatch,
+    MalformedModel,
+    NotConverged,
+)
 from vlmcx.glm import (
     GRAD_TOL,
     LeafDesign,
@@ -197,6 +204,15 @@ class TestBuildDesign:
         data = Dataset(states=[0, 1, 0], covariates=[1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             build_design(data, self.single_leaf_tree(), (0,), horizon=0)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"h": 0.5}, "h must be an integer, got 0.5"),
+        ({"horizon": 1.5}, "horizon must be an integer, got 1.5"),
+    ])
+    def test_h_and_horizon_must_be_integers(self, kw, message):
+        data = Dataset(states=[0, 1, 0], covariates=[1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match=message):
+            build_design(data, self.single_leaf_tree(), (0,), **kw)
 
 
 class TestGradientAndHessian:
@@ -486,4 +502,56 @@ class TestSequenceLogLikelihood:
         tree = ContextTree(p=2, d=1, nodes={(): None, (0,): block, (1,): block})
         data = Dataset(states=[0, 1, 0], covariates=np.ones((3, 2)))
         with pytest.raises(AlphabetMismatch):
+            log_likelihood(tree, data)
+
+    @pytest.mark.parametrize("horizon, message", [
+        (-2, "horizon must be >= 0, got -2"),
+        (2.5, "horizon must be an integer, got 2.5"),
+    ])
+    def test_horizon_must_be_a_non_negative_integer(self, horizon, message):
+        # a negative horizon would index the sequence from its end
+        tree = ContextTree(p=2, d=1, nodes={(): ParamBlock.binary(0.3, [])})
+        data = Dataset(states=[0, 1, 1, 0], covariates=np.zeros(4))
+        with pytest.raises(DataError, match=message):
+            log_likelihood(tree, data, horizon=horizon)
+
+    def depth_one_tree(self, *blocks):
+        """Leaf w carries ``blocks[w]``; leaves past the last block are absent."""
+        return ContextTree(p=2, d=1, nodes={(): None, **{(w,): b for w, b in enumerate(blocks)}})
+
+    def test_history_too_short_at_horizon_zero(self):
+        block = ParamBlock.binary(0.1, [])
+        tree = self.depth_one_tree(block, block)
+        data = Dataset(states=[0, 1, 0], covariates=np.zeros(3))
+        message = "^history of length 0 cannot resolve below <root>$"
+        with pytest.raises(HistoryTooShort, match=message):
+            log_likelihood(tree, data, horizon=0)
+
+    def test_missing_branch_raises_only_when_reached(self):
+        tree = self.depth_one_tree(ParamBlock.binary(0.1, []))
+        reached = Dataset(states=[0, 0, 1, 0], covariates=np.zeros(4))
+        with pytest.raises(MalformedModel, match="^history does not resolve: no branch 1$"):
+            log_likelihood(tree, reached)
+        unreached = Dataset(states=[0, 0, 0, 1], covariates=np.zeros(4))
+        assert np.isfinite(log_likelihood(tree, unreached))
+
+    def test_parameterless_leaf_raises_only_when_reached(self):
+        tree = self.depth_one_tree(ParamBlock.binary(0.1, []), None)
+        reached = Dataset(states=[0, 0, 1, 0], covariates=np.zeros(4))
+        with pytest.raises(MalformedModel, match="^no parameters at 1$"):
+            log_likelihood(tree, reached)
+        unreached = Dataset(states=[0, 0, 0, 1], covariates=np.zeros(4))
+        assert np.isfinite(log_likelihood(tree, unreached))
+
+    @pytest.mark.parametrize("states, message", [
+        ([0, 1, 0, 0, 0], "^no parameters at 1$"),
+        ([1, 0, 1, 0, 0], "^history does not resolve: no branch 0,1$"),
+    ])
+    def test_earliest_failing_time_point_raises(self, states, message):
+        # leaf 1 has no parameters and branch 0,1 is missing; each dataset
+        # reaches both, and the one reached first raises
+        block = ParamBlock.binary(0.1, [])
+        tree = ContextTree(p=2, d=1, nodes={(): None, (0,): None, (1,): None, (0, 0): block})
+        data = Dataset(states=states, covariates=np.zeros(len(states)))
+        with pytest.raises(MalformedModel, match=message):
             log_likelihood(tree, data)

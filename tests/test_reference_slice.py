@@ -47,3 +47,13 @@ def test_cli_fit_item_matches_reference(workloads, reference, tmp_path):
     plan = workloads.CliFit([key], str(tmp_path))
     observed = plan.observe(key, plan.run(key))
     assert workloads.CliFit.check(observed, reference["cli_fit"][key]) == []
+
+
+# One generated sequence per model: any change to the generated stream, or a
+# log-likelihood beyond the benchmark's tolerance, fails here.
+@pytest.mark.parametrize("model", ["model1", "model2", "model3", "tri"])
+def test_simulate_score_item_matches_reference(workloads, reference, model):
+    key = f"{model}-n5000-s3000000"
+    plan = workloads.SimulateScore(seed=1)
+    observed = plan.observe(key, plan.run(key))
+    assert workloads.SimulateScore.check(observed, reference["simulate_score"][key]) == []

@@ -139,6 +139,14 @@ class TestGenerate:
         with pytest.raises(DataError):
             generate(spec, 100, seed=1, burn_in=-1)
 
+    @pytest.mark.parametrize("n, burn_in, message", [
+        (300.5, 1000, "n must be an integer, got 300.5"),
+        (300, 10.0, "burn_in must be an integer, got 10.0"),
+    ])
+    def test_sizes_must_be_integers(self, n, burn_in, message):
+        with pytest.raises(DataError, match=message):
+            generate(builtin_model("model2"), n, seed=1, burn_in=burn_in)
+
     def test_conditional_frequencies_match_intercepts(self):
         # model 3 is a plain VLMC, so windowed frequencies estimate the
         # logistic intercepts directly
