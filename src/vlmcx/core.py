@@ -71,7 +71,7 @@ class ParamBlock:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
+        alpha = np.array(self.alpha, dtype=float, ndmin=1)
         beta = np.asarray(self.beta, dtype=float)
         if alpha.ndim != 1 or alpha.size < 1:
             raise MalformedModel("alpha must be a non-empty vector")
@@ -81,11 +81,10 @@ class ParamBlock:
             raise MalformedModel(
                 f"beta has {beta.shape[0]} target rows, alpha has {alpha.shape[0]}"
             )
-        if not np.all(np.isfinite(alpha)) or not np.all(np.isfinite(beta)):
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
             raise MalformedModel("coefficients must be finite")
-        while beta.shape[1] > 0 and not np.any(beta[:, -1, :]):
+        while beta.shape[1] > 0 and not beta[:, -1, :].any():
             beta = beta[:, :-1, :]
-        alpha = alpha.copy()
         beta = beta.copy()
         alpha.setflags(write=False)
         beta.setflags(write=False)

@@ -7,19 +7,23 @@ time ``t`` is ``[1, x[t-1], ..., x[t-h]]`` with each lag contributing ``d``
 entries, so the coefficient layout matches ParamBlock: column ``1 + (t*d) + l``
 belongs to covariate ``l`` observed ``t + 1`` steps back.
 
-Fitting is plain Newton-Raphson with step-halving.  One function,
-``_evaluate``, computes the link at a point: the log-likelihood and the fitted
-probabilities.  Each iterate is evaluated once, and the score and Hessian at
-the accepted iterate read its probabilities.  A singular Hessian gets a small
-ridge; iterates whose coefficients pass ``SEPARATION_BOUND`` in magnitude mark
-the result as separated but still return it.
+Fitting is plain Newton-Raphson with step-halving, through one kernel built
+once per design.  The logistic (p = 2) or multinomial form is chosen when the
+kernel is built, and nowhere else.  The kernel computes the link at a point
+(the log-likelihood and the fitted probabilities), and the score and the
+information matrix from those probabilities, so each iterate is evaluated
+once.  A singular information matrix gets a small ridge; iterates whose
+coefficients pass ``SEPARATION_BOUND`` in magnitude mark the result as
+separated but still return it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     Context,
@@ -90,64 +94,113 @@ class MleResult:
     separated: bool
 
 
-# -- probability kernels ----------------------------------------------------
+# -- the Newton kernel ----------------------------------------------------------
+
+# The LAPACK gufunc that np.linalg.solve(A, b) calls for a 1-D b, without
+# that wrapper's type and shape checks.  Under np.errstate(invalid="ignore")
+# a singular A gives a NaN solution instead of LinAlgError.
+_solve1 = _umath_linalg.solve1
 
 
-def _evaluate(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log-likelihood at ``theta`` ((p-1, q)) and the (m, p-1) probabilities
-    of states 1..p-1; p = 2 takes the logistic forms."""
-    if theta.shape[0] == 1:
-        z = X @ theta[0]
+class _Kernel:
+    """One design's link, score and information at flat parameters ``theta``,
+    ``(p - 1) * q`` long and row-major by target.  ``_kernel`` builds the
+    logistic or the multinomial form once per design; ``evaluate`` returns
+    the log-likelihood and the fitted probabilities that ``score`` and
+    ``information`` read."""
+
+    @staticmethod
+    def solve(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Newton step ``A⁻¹ g`` for the information ``A``; a singular or
+        non-finite solve is retried once with ``RIDGE`` on the diagonal."""
+        step = _solve1(A, g, signature="dd->d")
+        if not np.isfinite(step).all():
+            step = _solve1(A + RIDGE * np.eye(A.shape[0]), g, signature="dd->d")
+            if not np.isfinite(step).all():
+                raise NotConverged(0, "singular Hessian even after ridge")
+        return step
+
+
+class _Logistic(_Kernel):
+    """p = 2: the probabilities are the (m,) vector of P(state 1)."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X, self.Xt = X, X.T
+        self.y = (y == 1).astype(float)
+
+    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        z = self.X @ theta
         mu = np.exp(-np.logaddexp(0.0, -z))
-        return float(y @ z - np.logaddexp(0.0, z).sum()), mu[:, np.newaxis]
-    m = X.shape[0]
-    L = np.concatenate([np.zeros((m, 1)), X @ theta.T], axis=1)
-    mx = L.max(axis=1, keepdims=True)
-    LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
-    return float(LP[np.arange(m), y].sum()), np.exp(LP[:, 1:])
+        return float(self.y @ z - np.logaddexp(0.0, z).sum()), mu
+
+    def score(self, mu: np.ndarray) -> np.ndarray:
+        return self.Xt @ (self.y - mu)
+
+    def information(self, mu: np.ndarray) -> np.ndarray:
+        w = mu * (1.0 - mu)
+        return (self.X * w[:, np.newaxis]).T @ self.X
 
 
-def _score(X: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Score as a (p-1, q) matrix, from the probabilities of ``_evaluate``."""
-    G = np.empty((P.shape[1], X.shape[1]))
-    for j in range(P.shape[1]):
-        G[j] = X.T @ ((y == j + 1) - P[:, j])
-    return G
+class _Multinomial(_Kernel):
+    """p > 2: the probabilities are the (m, p - 1) matrix of states 1..p-1."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, p: int):
+        m = X.shape[0]
+        self.X, self.Xt, self.k = X, X.T, p - 1
+        self.base = np.zeros((m, 1))
+        # row j marks the transitions into state j + 1
+        self.onehot = (y == np.arange(1, p)[:, np.newaxis]).astype(float)
+        # each row's observed state in the flattened (m, p) log-probabilities
+        self.pick = np.arange(m) * p + y
+
+    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        L = np.concatenate([self.base, self.X @ theta.reshape(self.k, -1).T], axis=1)
+        mx = L.max(axis=1, keepdims=True)
+        LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
+        return float(LP.take(self.pick).sum()), np.exp(LP[:, 1:])
+
+    def score(self, P: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.Xt @ (self.onehot[j] - P[:, j]) for j in range(self.k)])
+
+    def information(self, P: np.ndarray) -> np.ndarray:
+        k, q = self.k, self.X.shape[1]
+        A = np.empty((k * q, k * q))
+        for j in range(k):
+            for l in range(j, k):
+                w = P[:, j] * ((1.0 if j == l else 0.0) - P[:, l])
+                block = (self.X * w[:, np.newaxis]).T @ self.X
+                A[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
+                if l != j:
+                    A[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
+        return A
 
 
-def _hess(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Observed-information Hessian of the log-likelihood, ((p-1)q, (p-1)q)."""
-    k, q = P.shape[1], X.shape[1]
-    H = np.empty((k * q, k * q))
-    for j in range(k):
-        for l in range(j, k):
-            w = P[:, j] * ((1.0 if j == l else 0.0) - P[:, l])
-            block = -(X * w[:, np.newaxis]).T @ X
-            H[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
-            if l != j:
-                H[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
-    return H
+def _kernel(design: LeafDesign) -> _Kernel:
+    if design.p == 2:
+        return _Logistic(design.X, design.y)
+    return _Multinomial(design.X, design.y, design.p)
 
 
-def _probs_at(design: LeafDesign, params: np.ndarray) -> np.ndarray:
-    theta = np.asarray(params, dtype=float).reshape(design.p - 1, design.n_cols)
-    return _evaluate(design.X, design.y, theta)[1]
+def _flat(design: LeafDesign, params) -> np.ndarray:
+    return np.asarray(params, dtype=float).reshape(design.p - 1, design.n_cols).ravel()
 
 
 def gradient(design: LeafDesign, params: np.ndarray) -> np.ndarray:
     """Score vector at ``params`` (flattened (p-1, 1 + h*d), row-major)."""
-    return _score(design.X, design.y, _probs_at(design, params)).ravel()
+    kernel = _kernel(design)
+    return kernel.score(kernel.evaluate(_flat(design, params))[1])
 
 
 def hessian(design: LeafDesign, params: np.ndarray) -> np.ndarray:
     """Hessian matrix at ``params``; symmetric and negative semidefinite."""
-    return _hess(design.X, _probs_at(design, params))
+    kernel = _kernel(design)
+    return -kernel.information(kernel.evaluate(_flat(design, params))[1])
 
 
 def design_loglik(design: LeafDesign, block: ParamBlock) -> float:
     """Log-likelihood of the design rows under ``block``."""
     theta = _theta_from_block(block, design.h, design.d)
-    return _evaluate(design.X, design.y, theta)[0]
+    return _kernel(design).evaluate(theta.ravel())[0]
 
 
 # -- coefficient block <-> flat parameter matrix -----------------------------
@@ -239,10 +292,10 @@ def build_design(
         h = block.h if block is not None else len(u)
     h = _integer("h", h, 0)
     if h > len(u):
-        raise ValueError(f"h={h} outside [0, {len(u)}]")
+        raise DataError(f"h={h} outside [0, {len(u)}]")
     horizon = tree.order if horizon is None else _integer("horizon", horizon, 0)
     if horizon < len(u):
-        raise ValueError(f"horizon {horizon} shorter than context {context_label(u)}")
+        raise DataError(f"horizon {horizon} shorter than context {context_label(u)}")
     return _design(data, u, context_rows(data, u, horizon), h, tree.p)
 
 
@@ -324,21 +377,6 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
 # -- Newton fitting -----------------------------------------------------------
 
 
-def _solve_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    A = -H
-    try:
-        step = np.linalg.solve(A, g)
-        if np.all(np.isfinite(step)):
-            return step
-    except np.linalg.LinAlgError:
-        pass
-    A = A + RIDGE * np.eye(A.shape[0])
-    step = np.linalg.solve(A, g)
-    if not np.all(np.isfinite(step)):
-        raise NotConverged(0, "singular Hessian even after ridge")
-    return step
-
-
 def fit_leaf(
     design: LeafDesign,
     h: int | None = None,
@@ -360,42 +398,42 @@ def fit_leaf(
     if h is None:
         h = design.h
     sub = design if h == design.h else design.truncated(h)
-    X, y = sub.X, sub.y
+    kernel = _kernel(sub)
     if start is not None:
-        theta = _theta_from_block(start, h, design.d)
+        theta = _theta_from_block(start, h, design.d).ravel()
     else:
-        theta = np.zeros((design.p - 1, sub.n_cols))
-    ll, P = _evaluate(X, y, theta)
-    if trace is not None:
-        trace.append(ll)
+        theta = np.zeros((design.p - 1) * sub.n_cols)
     iterations = 0
     separated = False
-    while True:
-        G = _score(X, y, P)
-        converged = bool(np.abs(G).max() <= grad_tol)
-        if converged or separated or iterations >= max_iter:
-            break
-        H = _hess(X, P)
-        step = _solve_step(H, G.ravel()).reshape(theta.shape)
-        floor = ll - 1e-10 * (1.0 + abs(ll))
-        scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            cand = theta + scale * step
-            ll_new, P_new = _evaluate(X, y, cand)
-            if np.isfinite(ll_new) and ll_new >= floor:
-                break
-            scale *= 0.5
-        else:
-            raise NotConverged(iterations + 1)
-        theta, ll, P = cand, ll_new, P_new
-        iterations += 1
+    with np.errstate(all="ignore"):
+        ll, P = kernel.evaluate(theta)
         if trace is not None:
             trace.append(ll)
-        separated = bool(np.abs(theta).max() > SEPARATION_BOUND)
+        while True:
+            g = kernel.score(P)
+            converged = bool(np.abs(g).max() <= grad_tol)
+            if converged or separated or iterations >= max_iter:
+                break
+            step = kernel.solve(kernel.information(P), g)
+            floor = ll - 1e-10 * (1.0 + abs(ll))
+            scale = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                cand = theta + scale * step
+                ll_new, P_new = kernel.evaluate(cand)
+                if math.isfinite(ll_new) and ll_new >= floor:
+                    break
+                scale *= 0.5
+            else:
+                raise NotConverged(iterations + 1)
+            theta, ll, P = cand, ll_new, P_new
+            iterations += 1
+            if trace is not None:
+                trace.append(ll)
+            separated = bool(np.abs(theta).max() > SEPARATION_BOUND)
     if not (converged or separated):
         raise NotConverged(iterations)
     return MleResult(
-        params=_block_from_theta(theta, h, design.d),
+        params=_block_from_theta(theta.reshape(design.p - 1, -1), h, design.d),
         loglik=ll,
         iterations=iterations,
         converged=converged,

@@ -86,13 +86,26 @@ class TestParamBlock:
         assert a == b
         assert a != c
 
-    def test_multinomial_target_count_must_match(self):
-        with pytest.raises(MalformedModel):
-            ParamBlock(alpha=np.array([0.1, 0.2]), beta=np.zeros((1, 1, 1)))
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            ([], np.zeros((0, 1, 1)), "alpha must be a non-empty vector"),
+            ([[0.1]], np.zeros((1, 1, 1)), "alpha must be a non-empty vector"),
+            ([0.1], np.zeros((1, 1)), r"beta must have shape \(p - 1, h, d\)"),
+            ([0.1, 0.2], np.zeros((1, 1, 1)), "beta has 1 target rows, alpha has 2"),
+            ([float("nan")], np.ones((1, 1, 1)), "coefficients must be finite"),
+            ([0.1], [[[1.0], [float("inf")]]], "coefficients must be finite"),
+        ],
+        ids=["empty_alpha", "matrix_alpha", "beta_not_3d", "target_count", "nan_alpha", "inf_beta"],
+    )
+    def test_malformed_rejected(self, alpha, beta, message):
+        with pytest.raises(MalformedModel, match=f"^{message}$"):
+            ParamBlock(alpha=alpha, beta=beta)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(MalformedModel):
-            ParamBlock.binary(float("nan"), [1.0])
+    def test_scalar_alpha_is_a_one_vector(self):
+        b = ParamBlock(alpha=0.5, beta=np.zeros((1, 0, 2)))
+        assert b.alpha.shape == (1,) and b.alpha.tolist() == [0.5]
+        assert (b.p, b.h, b.d) == (2, 0, 2)
 
 
 class TestContextTreeValidation:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vlmcx import ContextTree, Dataset, ParamBlock
+from vlmcx import ContextTree, Dataset, ParamBlock, glm
 from vlmcx.errors import (
     AlphabetMismatch,
     DataError,
@@ -197,12 +197,12 @@ class TestBuildDesign:
 
     def test_h_beyond_context_length(self):
         data = Dataset(states=[0, 1, 0], covariates=[1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"^h=2 outside \[0, 1\]$"):
             build_design(data, self.single_leaf_tree(), (0,), h=2)
 
     def test_horizon_shorter_than_context(self):
         data = Dataset(states=[0, 1, 0], covariates=[1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"^horizon 0 shorter than context 0$"):
             build_design(data, self.single_leaf_tree(), (0,), horizon=0)
 
     @pytest.mark.parametrize("kw, message", [
@@ -453,6 +453,45 @@ class TestFitLeafExits:
         assert len(trace) == res.iterations + 1
         assert trace[-1] == res.loglik
         assert type(res.converged) is bool and type(res.separated) is bool
+
+
+class TestNewtonSolve:
+    """The Newton step's linear solve and its singular fallback."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_column_takes_the_ridge(self, p, monkeypatch):
+        # an all-zero covariate column makes the information exactly singular,
+        # so every Newton step is solved again with RIDGE on the diagonal
+        rng = np.random.default_rng(p)
+        m = 80
+        X = np.column_stack([np.ones(m), rng.normal(size=m), np.zeros(m)])
+        y = rng.integers(0, p, size=m)
+        design = LeafDesign(context=(0, 0), X=X, y=y, h=2, d=1, p=p)
+        without = fit_leaf(design.truncated(1))
+        solves = []
+        solve1 = glm._solve1
+
+        def counting_solve1(A, g, **kw):
+            solves.append(A.shape)
+            return solve1(A, g, **kw)
+
+        monkeypatch.setattr(glm, "_solve1", counting_solve1)
+        res = fit_leaf(design)
+        assert res.converged and res.iterations > 0
+        assert len(solves) == 2 * res.iterations
+        assert res.loglik == pytest.approx(without.loglik, rel=0, abs=1e-12)
+        np.testing.assert_allclose(res.params.alpha, without.params.alpha, rtol=0, atol=1e-12)
+
+    def test_solve_matches_numpy_bit_for_bit(self):
+        # the step is solved by the LAPACK gufunc behind np.linalg.solve,
+        # called without that wrapper; a numpy that moves or changes the
+        # gufunc fails here rather than changing fits silently
+        rng = np.random.default_rng(2024)
+        for n in range(1, 23):
+            M = rng.normal(size=(n, n))
+            A = M @ M.T + n * np.eye(n)
+            g = rng.normal(size=n)
+            assert glm._Kernel.solve(A, g).tobytes() == np.linalg.solve(A, g).tobytes()
 
 
 class TestSequenceLogLikelihood:
