@@ -120,17 +120,64 @@ def builtin_model(name: str) -> ModelSpec:
 BUILTIN_MODELS = ("model1", "model2", "model3")
 
 
+# The block size and the hot-leaf rule of ``generate`` (see its docstring),
+# chosen by timing the bundled models and trees of 115 and 203 leaves.
+BLOCK_ROWS = 2048
+HOT_VISITS = 8
+HOT_SPACING = 32
+
+
+def _p_one(z: float) -> float:
+    """P(state 1) of a binary step with linear predictor ``z``; 0.0 where
+    ``exp(-z)`` overflows, for ``z`` below about -709.8."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
+
+
 def _next_state_law(z: np.ndarray, binary: bool) -> float | list[float]:
     """Law of the next state given the linear predictors ``z`` of states
     1..p-1: P(state 1) when ``binary``, else the cumulative probabilities of
     states 0..p-1."""
     if binary:
-        return 1.0 / (1.0 + math.exp(-float(z[0])))
+        return _p_one(float(z[0]))
     full = np.concatenate(([0.0], z))
     full -= np.maximum.reduce(full)
     probs = np.exp(full)
     probs /= np.add.reduce(probs)
     return np.add.accumulate(probs).tolist()
+
+
+def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
+               lo: int, i: int, hi: int, binary: bool) -> list:
+    """One covariate leaf's steps on rows ``i..hi-1``, behind ``i - lo``
+    placeholders so that row ``r`` sits at ``r - lo``: the linear predictor
+    of each row when ``binary`` (``_p_one`` turns it into P(state 1) on a
+    visit), else the state each row would draw.
+
+    Every number has the bits of the per-step path: the stacked mat-vec
+    makes the same BLAS call per row as ``bflat @ lagged[r, :width]``, the
+    multinomial law applies ``_next_state_law``'s ufuncs row by row, and
+    counting the cumulative probabilities at or below the row's uniform is
+    ``bisect_right``.
+    """
+    _, alpha, bflat, width, _ = leaf
+    z = np.matmul(bflat, lagged[i:hi, :width, np.newaxis])[:, :, 0]
+    z += alpha
+    if binary:
+        drawn = z[:, 0].tolist()
+    else:
+        p = z.shape[1] + 1
+        full = np.zeros((hi - i, p))
+        full[:, 1:] = z
+        full -= np.maximum.reduce(full, axis=1, keepdims=True)
+        probs = np.exp(full)
+        probs /= np.add.reduce(probs, axis=1, keepdims=True)
+        cum = np.add.accumulate(probs, axis=1)
+        below = np.add.reduce(cum <= uniforms[i:hi, np.newaxis], axis=1)
+        drawn = np.minimum(below, p - 1).tolist()
+    return [None] * (i - lo) + drawn
 
 
 def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset:
@@ -145,49 +192,78 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
     below P(state 1); otherwise the uniform inverts the cumulative
     probabilities of states 0..p-1.  Each step's leaf comes from its last
     ``order`` states, looked up in the tree once per distinct history.
+
+    The steps run in blocks of ``BLOCK_ROWS`` rows.  A leaf without
+    covariate lags has one fixed law.  A covariate leaf computes its law
+    step by step until it turns hot: at least ``HOT_VISITS`` visits in the
+    block, and at least one per ``HOT_SPACING`` steps of the block so far.
+    Then one array pass covers every remaining row of the block for that
+    leaf (the linear predictors when p = 2, the drawn states otherwise), and
+    its later visits read their row.  A leaf visited a few times per block
+    stays on the per-step path, so a tree of many rarely visited leaves
+    costs about what it did.  Both paths apply the same floating-point
+    operations to the same numbers, so the states do not depend on which
+    path drew them.  A binary predictor below about -709.8 gives
+    P(state 1) = 0, so the step gives state 0.
     """
     n = _integer("n", n, 1)
     burn_in = _integer("burn_in", burn_in, 0)
+    seed = _integer("seed", seed, 0)
     tree = spec.tree
     p, d, eta = tree.p, tree.d, tree.order
     binary = p == 2
     rng = np.random.default_rng(seed)
     total = burn_in + n
     cov = rng.standard_normal((total, d)) if d > 0 else np.zeros((total, 0))
-    uniforms = rng.random(total).tolist()
+    draws = rng.random(total)
+    uniforms = draws.tolist()
     # row i holds the covariate rows i-1, i-2, ... (zero before the start),
     # so a leaf with h lags reads its first h*d entries
     H = tree.covariate_order
     lagged = np.zeros((total, H * d))
     for lag in range(1, min(H, total) + 1):
         lagged[lag:, (lag - 1) * d : lag * d] = cov[: total - lag]
-    # per leaf: alpha, flattened beta (row j covers target j+1), h*d, and the
-    # next state's law when no covariate enters
+    # per leaf: its index, alpha, flattened beta (row j covers target j+1),
+    # h*d, and the next state's law when no covariate enters
     params: dict[Context, tuple] = {}
-    for u in tree.leaves():
+    for k, u in enumerate(tree.leaves()):
         block = tree.nodes[u]
         alpha = np.asarray(block.alpha)
         width = block.h * d
         fixed = None if width else _next_state_law(alpha, binary)
-        params[u] = (alpha, np.asarray(block.beta.reshape(block.n_targets, -1)), width, fixed)
+        params[u] = (k, alpha, np.asarray(block.beta.reshape(block.n_targets, -1)), width, fixed)
     leaf_of: dict[Context, tuple] = {}
-    states = np.zeros(total, dtype=np.int64)
+    states = [0] * total
     hist: Context = (0,) * eta
-    for i in range(total):
-        leaf = leaf_of.get(hist)
-        if leaf is None:
-            leaf = leaf_of[hist] = params[tree.lookup(hist)]
-        alpha, bflat, width, law = leaf
-        if law is None:
-            law = _next_state_law(alpha + bflat @ lagged[i, :width], binary)
-        if binary:
-            yi = 1 if uniforms[i] < law else 0
-        else:
-            yi = min(bisect.bisect_right(law, uniforms[i]), p - 1)
-        states[i] = yi
-        if eta:
-            hist = (yi,) + hist[:-1]
-    return Dataset(states=states[burn_in:], covariates=cov[burn_in:])
+    for lo in range(0, total, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, total)
+        visits = [0] * len(params)
+        hot_rows: list[list | None] = [None] * len(params)
+        for i in range(lo, hi):
+            leaf = leaf_of.get(hist)
+            if leaf is None:
+                leaf = leaf_of[hist] = params[tree.lookup(hist)]
+            k, alpha, bflat, width, law = leaf
+            if law is None:
+                hot = hot_rows[k]
+                if hot is None:
+                    seen = visits[k] = visits[k] + 1
+                    if seen >= HOT_VISITS and seen * HOT_SPACING > i - lo:
+                        hot = hot_rows[k] = _hot_block(leaf, lagged, draws, lo, i, hi, binary)
+                if hot is None:
+                    law = _next_state_law(alpha + bflat @ lagged[i, :width], binary)
+                elif binary:
+                    law = _p_one(hot[i - lo])
+            if law is None:
+                yi = hot[i - lo]
+            elif binary:
+                yi = 1 if uniforms[i] < law else 0
+            else:
+                yi = min(bisect.bisect_right(law, uniforms[i]), p - 1)
+            states[i] = yi
+            if eta:
+                hist = (yi,) + hist[:-1]
+    return Dataset(states=np.array(states[burn_in:], dtype=np.int64), covariates=cov[burn_in:])
 
 
 @dataclass(frozen=True)
@@ -410,10 +486,13 @@ def monte_carlo(
 
     Run ``i`` uses seed ``base_seed + i``.  ``setting`` is either a fixed
     FitConfig or a TuningGrid searched per run.  Failed runs are counted and
-    reported, not raised.
+    reported, not raised; an invalid count or seed raises ``DataError``
+    before the first run.
     """
-    if runs < 1:
-        raise DataError(f"runs must be >= 1, got {runs}")
+    n = _integer("n", n, 1)
+    runs = _integer("runs", runs, 1)
+    base_seed = _integer("base_seed", base_seed, 0)
+    burn_in = _integer("burn_in", burn_in, 0)
     if setting is None:
         setting = FitConfig()
     tuned = isinstance(setting, TuningGrid)

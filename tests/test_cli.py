@@ -304,6 +304,15 @@ class TestExitCodes:
                      "--tune", "--s-grid", "0"]) == 3
         assert "s must be >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_three(self, tmp_path, capsys):
+        out = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--model", "model2", "--n", "100",
+                     "--seed", "-1", "--out", out]) == 3
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert main(["evaluate", "--model", "model2", "--n", "100", "--runs", "2",
+                     "--seed", "-1"]) == 3
+        assert "base_seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_missing_model_file_exits_three(self, capsys):
         assert main(["predict", "--model", "/nope/model.json",
                      "--history", "0,1"]) == 3
