@@ -642,12 +642,8 @@ def merge_siblings_test(
     a merge the estimator never tests.
     """
     parent = tuple(int(s) for s in parent)
+    merged_tree = tree.merge_leaves(parent)
     children = tree.children(parent)
-    if not children:
-        raise ChildrenNotLeaves(f"{context_label(parent)} has no children")
-    bad = [c for c in children if not tree.is_leaf(c)]
-    if bad:
-        raise ChildrenNotLeaves(f"{context_label(bad[0])} is not a leaf")
     engine = _seeded_engine(tree, children, data, config, horizon)
     merged = engine._merge_test(parent, children, engine.config.gamma)
     if not engine.audit:
@@ -655,7 +651,7 @@ def merge_siblings_test(
             f"merge at {context_label(parent)} frees no parameters (df < 1); nothing to test"
         )
     if merged:
-        tree = tree.merge_leaves(parent).with_block(parent, engine.leaves[parent].fit.params)
+        tree = merged_tree.with_block(parent, engine.leaves[parent].fit.params)
     return _last_test(engine), tree
 
 
@@ -685,9 +681,8 @@ def replay_audit(tau_max: ContextTree, audit: Sequence[AuditRecord]) -> dict[Con
     report's tree checks that the audit trail fully determines the outcome.
     """
     state: dict[Context, int | None] = {}
-    internal = {u[:-1] for u in tau_max.nodes if u}
     for u in tau_max.nodes:
-        state[u] = None if u in internal else tau_max.block(u).h
+        state[u] = tau_max.block(u).h if tau_max.is_leaf(u) else None
     for rec in audit:
         if rec.action == "drop":
             u = rec.contexts[0]

@@ -328,21 +328,12 @@ class ContextTree:
                 raise MalformedModel(
                     f"leaf {context_label(u)}: beta rows have width {beta.shape[2]}, expected {d}"
                 )
-            if u in nodes:
-                if nodes[u] is None:
-                    raise MalformedModel(
-                        f"leaf {context_label(u)} is an ancestor of another leaf"
-                    )
+            if nodes.get(u) is not None:
                 raise MalformedModel(f"duplicate leaf {context_label(u)}")
             nodes[u] = ParamBlock(alpha=alpha, beta=beta)
-            for k in range(len(u) - 1, -1, -1):
-                prefix = u[:k]
-                existing = nodes.get(prefix, "absent")
-                if isinstance(existing, ParamBlock):
-                    raise MalformedModel(
-                        f"leaf {context_label(prefix)} is an ancestor of {context_label(u)}"
-                    )
-                nodes[prefix] = None
+            for k in range(len(u)):
+                nodes.setdefault(u[:k], None)
+        # a leaf that is also another's ancestor is an internal node with parameters
         return cls(p=p, d=d, nodes=nodes)
 
     def __eq__(self, other: object) -> bool:
@@ -376,12 +367,12 @@ class Dataset:
         if states.ndim != 1 or states.size == 0:
             raise DataError("states must be a non-empty vector")
         if not np.issubdtype(states.dtype, np.integer):
-            cast = states.astype(np.int64)
-            if not np.array_equal(cast, np.asarray(states, dtype=float)):
+            values = np.asarray(states, dtype=float)
+            # NaN, inf and values past int64 fail the range test before any cast
+            if not (np.all(np.abs(values) < 2.0**63) and np.array_equal(values, np.trunc(values))):
                 raise DataError("states must be integers")
-            states = cast
-        else:
-            states = states.astype(np.int64)
+            states = values
+        states = states.astype(np.int64)
         if np.any(states < 0):
             raise DataError("states must be non-negative")
         cov = np.asarray(self.covariates, dtype=float)

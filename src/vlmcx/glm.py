@@ -37,9 +37,7 @@ from .core import (
 from .errors import (
     AlphabetMismatch,
     DataError,
-    HistoryTooShort,
     LagMismatch,
-    MalformedModel,
     NotConverged,
 )
 
@@ -237,6 +235,8 @@ def _lag_vector(block: ParamBlock, recent_covariates) -> np.ndarray:
         raise LagMismatch(f"covariate rows must have width {d}")
     if window.shape[0] < h:
         raise LagMismatch(f"need {h} covariate rows, got {window.shape[0]}")
+    if not np.isfinite(window[:h]).all():
+        raise LagMismatch("covariate rows must be finite")
     return window[:h].ravel()
 
 
@@ -244,7 +244,7 @@ def transition_distribution(block: ParamBlock, recent_covariates=None) -> np.nda
     """Probabilities over the next state.
 
     ``recent_covariates`` holds one row per lag, most recent first; rows
-    beyond the block's ``h`` are ignored.
+    beyond the block's ``h`` are ignored, the others must be finite.
     """
     x = _lag_vector(block, recent_covariates)
     z = np.concatenate([[0.0], block.alpha + block.beta.reshape(block.n_targets, -1) @ x])
@@ -320,15 +320,15 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
     tree's own and shares nothing with the leaf designs used in fitting,
     so it checks them independently.
 
-    Raises, for the earliest time point that fails, what walking its
-    history with ``ContextTree.lookup`` raises (``HistoryTooShort`` or
-    ``MalformedModel`` for a missing branch), or ``MalformedModel`` when
-    the leaf it reaches has no parameters.
+    Raises, for the earliest time point that fails, what
+    ``tree.block(tree.lookup(history))`` raises for its history:
+    ``HistoryTooShort``, or ``MalformedModel`` for a missing branch or a
+    leaf without parameters.
     """
     _check_alphabet(tree, data)
     horizon = tree.order if horizon is None else _integer("horizon", horizon, 0)
     states, cov = data.states, data.covariates
-    failures: list[tuple[int, Exception]] = []
+    first = data.n  # earliest failing time point; data.n when none fails
     total = 0.0
     stack: list[tuple[Context, np.ndarray]] = [((), np.arange(horizon, data.n))]
     while stack:
@@ -339,9 +339,7 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
         if tree.is_leaf(node):
             block = tree.nodes[node]
             if block is None:
-                failures.append((int(t[0]), MalformedModel(
-                    f"no parameters at {context_label(node)}"
-                )))
+                first = min(first, int(t[0]))
                 continue
             eta = np.tile(block.alpha, (t.size, 1))
             for lag in range(1, block.h + 1):
@@ -353,9 +351,7 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
             continue
         # t is ascending, so the histories too short to pass are a prefix
         if t[0] <= depth:
-            failures.append((int(t[0]), HistoryTooShort(
-                f"history of length {int(t[0])} cannot resolve below {context_label(node)}"
-            )))
+            first = min(first, int(t[0]))
             t = t[t > depth]
         sym = states[t - 1 - depth]
         for w in range(tree.p):
@@ -364,13 +360,11 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
             if reach.size == 0:
                 continue
             if child not in tree.nodes:
-                failures.append((int(reach[0]), MalformedModel(
-                    f"history does not resolve: no branch {context_label(child)}"
-                )))
+                first = min(first, int(reach[0]))
                 continue
             stack.append((child, reach))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    if first < data.n:
+        tree.block(tree.lookup(states[:first][::-1]))  # raises: the walk failed at t = first
     return total
 
 

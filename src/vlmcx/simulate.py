@@ -30,19 +30,14 @@ from .algorithm import (
 from .core import Context, ContextTree, Dataset, ParamBlock, _integer, context_label
 from .errors import AlphabetMismatch, DataError, UnknownModel, VlmcxError
 
-_COVARIATE_LAWS = ("standard_normal",)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
     """A generating model: complete tree, parameters on every leaf."""
 
     tree: ContextTree
-    covariate_law: str = "standard_normal"
 
     def __post_init__(self) -> None:
-        if self.covariate_law not in _COVARIATE_LAWS:
-            raise DataError(f"unsupported covariate law {self.covariate_law!r}")
         tree = self.tree
         for u in tree.nodes:
             if tree.is_leaf(u):
@@ -67,8 +62,7 @@ def _binary_tree(leaves: dict[str, tuple[float, Sequence[float]]]) -> ContextTre
     nodes: dict[Context, ParamBlock | None] = {}
     for label, (alpha, beta) in leaves.items():
         u = tuple(int(c) for c in label)
-        rows = np.asarray(beta, dtype=float).reshape(-1, 1)
-        nodes[u] = ParamBlock(alpha=np.array([alpha]), beta=rows[np.newaxis, :, :])
+        nodes[u] = ParamBlock.binary(alpha, beta)
         for k in range(len(u)):
             nodes.setdefault(u[:k], None)
     return ContextTree(p=2, d=1, nodes=nodes)

@@ -10,10 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vlmcx
 from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock
 from vlmcx.algorithm import fit, test_pastmost_beta as pastmost_beta_test
+from vlmcx.errors import HistoryTooShort, MalformedModel
 from vlmcx.glm import (
     LeafDesign,
     build_design,
@@ -305,6 +308,52 @@ def test_likelihood_oracle_on_unbalanced_trees(p, d):
         for horizon in (tree.order, tree.order + 3):
             got = log_likelihood(tree, data, horizon=horizon)
             assert got == pytest.approx(brute_loglik(tree, data, horizon), abs=1e-9)
+
+
+def draw_gappy_tree(data, p, d, max_depth=3):
+    """Tree whose internal nodes may lack children and whose leaves may lack
+    parameters, so some histories fail to resolve or reach no law."""
+    nodes = {}
+    level = [()]
+    while level:
+        u = level.pop()
+        if len(u) < max_depth and data.draw(st.booleans()):
+            nodes[u] = None
+            level.extend(u + (w,) for w in range(p) if data.draw(st.integers(0, 3)))
+        elif data.draw(st.integers(0, 3)):
+            h = data.draw(st.integers(0, len(u))) if d else 0
+            coef = st.floats(-3, 3)
+            nodes[u] = ParamBlock(
+                alpha=[data.draw(coef) for _ in range(p - 1)],
+                beta=np.reshape([data.draw(coef) for _ in range((p - 1) * h * d)], (p - 1, h, d)),
+            )
+        else:
+            nodes[u] = None
+    return ContextTree(p=p, d=d, nodes=nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3]), d=st.sampled_from([0, 1]),
+       n=st.integers(1, 25), horizon=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_likelihood_raises_what_the_per_step_walk_raises(data, p, d, n, horizon, seed):
+    tree = draw_gappy_tree(data, p, d)
+    rng = np.random.default_rng(seed)
+    sequence = Dataset(states=rng.integers(0, p, size=n), covariates=rng.normal(size=(n, d)))
+    first_error = None
+    for t in range(horizon, n):
+        history = [int(s) for s in reversed(sequence.states[:t])]
+        try:
+            tree.block(tree.lookup(history))
+        except (HistoryTooShort, MalformedModel) as exc:
+            first_error = exc
+            break
+    if first_error is None:
+        got = log_likelihood(tree, sequence, horizon=horizon)
+        assert got == pytest.approx(brute_loglik(tree, sequence, horizon), abs=1e-9)
+    else:
+        with pytest.raises(type(first_error)) as raised:
+            log_likelihood(tree, sequence, horizon=horizon)
+        assert str(raised.value) == str(first_error)
 
 
 def test_criterion_9_gamma_boundaries(model2_data):

@@ -26,6 +26,7 @@ from vlmcx.errors import (
     DataError,
     DataTooShort,
     DomainError,
+    MalformedModel,
     NotConverged,
     NumericalError,
 )
@@ -454,6 +455,11 @@ class TestMergeSiblingsTest:
         data = covariate_chain(500, 5, lambda t, x, y: 0.3)
         with pytest.raises(ChildrenNotLeaves):
             merge_siblings_test(self.fixture_tree(), (0, 0), data)
+
+    def test_unknown_parent_rejected(self):
+        data = covariate_chain(500, 5, lambda t, x, y: 0.3)
+        with pytest.raises(MalformedModel, match="^unknown context 1,1$"):
+            merge_siblings_test(self.fixture_tree(), (1, 1), data)
 
     def test_merge_without_free_parameters_is_not_tested(self):
         # intercept-only children (2 parameters) against a parent fitted

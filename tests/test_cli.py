@@ -273,6 +273,12 @@ class TestExitCodes:
         assert main(["predict", "--model", "model1", "--history", "a,b"]) == 3
         capsys.readouterr()
 
+    def test_non_finite_covariate_row_exits_three(self, capsys):
+        # leaf 0,1 of model2 reads the two most recent rows: 1 and nan
+        assert main(["predict", "--model", "model2", "--history", "0,1,0",
+                     "--covariates", "1;nan;1"]) == 3
+        assert "covariate rows must be finite" in capsys.readouterr().err
+
     def test_numerical_failures_exit_four(self, tmp_path, capsys, monkeypatch):
         sim = str(tmp_path / "sim.csv")
         main(["simulate", "--model", "model2", "--n", "200", "--seed", "1",

@@ -248,12 +248,21 @@ class TestSerialization:
             lambda d: d["leaves"][0].update(context=[5, 0]),
             lambda d: d["leaves"][0].update(alpha=[]),
             lambda d: d["leaves"][0].update(beta=[[[1.0], [1.0], [1.0]]]),  # h > depth
+            # leaf 0 listed after its descendants 0,0 and 0,1
+            lambda d: d["leaves"].append({**d["leaves"][2], "context": [0]}),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
         doc = json.loads(small_tree().serialize())
         mutate(doc)
         with pytest.raises(MalformedModel):
+            ContextTree.parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_ancestor_leaf_rejected_in_either_order(self, where):
+        doc = json.loads(small_tree().serialize())
+        doc["leaves"].insert(where, {**doc["leaves"][2], "context": [0]})
+        with pytest.raises(MalformedModel, match="^internal node 0 carries parameters$"):
             ContextTree.parse(json.dumps(doc))
 
     def test_parse_rejects_non_json(self):
@@ -289,6 +298,13 @@ class TestDataset:
     def test_invalid_inputs(self, states, cov):
         with pytest.raises(DataError):
             Dataset(states=states, covariates=cov)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30, 2.0**63])
+    def test_non_integer_float_states_rejected_before_the_cast(self, bad):
+        # casting these to int64 warns, which must not pre-empt the DataError
+        with pytest.raises(DataError, match="^states must be integers$"):
+            Dataset(states=[0, bad, 1], covariates=np.zeros((3, 1)))
 
 
 def brute_count(states, v):

@@ -125,6 +125,14 @@ class TestTransitionDistribution:
         assert np.all(np.isfinite(probs))
         assert probs[1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lag_rows_rejected(self, bad):
+        block = ParamBlock.binary(0.0, [1.0, 1.0])
+        with pytest.raises(LagMismatch, match="^covariate rows must be finite$"):
+            transition_distribution(block, [[0.5], [bad]])
+        # rows past the block's lags are not read
+        assert np.isfinite(transition_distribution(block, [[0.5], [0.5], [bad]])).all()
+
 
 class TestBuildDesign:
     def single_leaf_tree(self):

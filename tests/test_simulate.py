@@ -102,11 +102,6 @@ class TestModelSpec:
         with pytest.raises(DataError):
             ModelSpec(tree=tree)
 
-    def test_rejects_unknown_covariate_law(self):
-        tree = builtin_model("model2").tree
-        with pytest.raises(DataError):
-            ModelSpec(tree=tree, covariate_law="cauchy")
-
 
 class TestGenerate:
     def test_same_seed_same_data(self):
