@@ -23,7 +23,7 @@ import copy
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,11 +33,10 @@ from .core import (
     Context,
     ContextTree,
     Dataset,
+    HistoryIndex,
     ParamBlock,
     _integer,
     context_label,
-    context_rows,
-    count_occurrences,
 )
 from .errors import (
     AllFitsFailed,
@@ -191,13 +190,15 @@ def _infer_p(data: Dataset, p: int | None) -> int:
     return p
 
 
-def _grow_structure(data: Dataset, p: int, s: int, cap: int) -> set[Context]:
+def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Context]:
     """Deepest prefix-closed node set satisfying the sibling count rule.
 
     A sibling group at depth k enters only when every member occurs at least
     ``s * (1 + d*k)`` times, so each candidate regression keeps ``s``
-    observations per parameter.
+    observations per parameter.  Each level's counts come from the index at
+    once.
     """
+    data = index.data
     n, d = data.n, data.d
     if n <= s * (1 + d):
         raise DataTooShort(
@@ -209,12 +210,9 @@ def _grow_structure(data: Dataset, p: int, s: int, cap: int) -> set[Context]:
     level: list[Context] = [()]
     for depth in range(1, cap_eff + 1):
         threshold = s * (1 + d * depth)
-        next_level: list[Context] = []
-        for u in level:
-            kids = [u + (w,) for w in range(p)]
-            if all(count_occurrences(data, kid) >= threshold for kid in kids):
-                nodes.update(kids)
-                next_level.extend(kids)
+        supported = (index.child_counts(level, p) >= threshold).all(axis=1)
+        next_level = [u + (w,) for u, ok in zip(level, supported) if ok for w in range(p)]
+        nodes.update(next_level)
         if not next_level:
             break
         level = next_level
@@ -236,15 +234,20 @@ def _grow_structure(data: Dataset, p: int, s: int, cap: int) -> set[Context]:
 
 @dataclass(frozen=True)
 class _LeafState:
-    """A leaf's transition times in design-row order, its design and its fit."""
+    """A leaf's transition times in design-row order and its fit."""
 
     rows: np.ndarray
-    design: LeafDesign
     fit: glm.MleResult
 
 
 class _Engine:
-    """Mutable fitting state: node set, per-leaf designs, current blocks.
+    """Mutable fitting state: node set, per-leaf rows, current blocks.
+
+    Rows, counts and designs come from one ``HistoryIndex`` of the data,
+    built here unless ``index`` shares one.  A leaf's rows are its window
+    rows past the horizon, ascending; a merged parent's are its children's
+    rows stacked in child order.  A design is gathered from the index, at
+    the leaf's full depth, only when the fit cache misses.
 
     ``seed`` (internal) maps some leaves of a given ``structure`` to their
     blocks.  Such an engine holds only those leaves, each refitted at its
@@ -261,13 +264,15 @@ class _Engine:
         structure: set[Context] | None = None,
         fit_cache: dict | None = None,
         seed: dict[Context, ParamBlock] | None = None,
+        index: HistoryIndex | None = None,
     ):
         self.data = data
         self.config = config
         self.p = _infer_p(data, p)
         self.d = data.d
+        self.index = HistoryIndex(data) if index is None else index
         self.nodes = set(structure) if structure is not None else _grow_structure(
-            data, self.p, config.s, config.max_order_cap
+            self.index, self.p, config.s, config.max_order_cap
         )
         self.order = max(len(u) for u in self.nodes)
         self.horizon = self.order if horizon is None else _integer("horizon", horizon, 0)
@@ -275,6 +280,7 @@ class _Engine:
             raise DataError(f"horizon {self.horizon} below tree order {self.order}")
         if self.horizon >= data.n:
             raise DataTooShort(f"horizon {self.horizon} leaves no transitions in n={data.n}")
+        self.index.lagged(self.order)  # built once, as deep as the deepest design here
         self.audit: list[AuditRecord] = []
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
@@ -291,7 +297,7 @@ class _Engine:
         """Fit every leaf of the structure with all its lags from scratch, or
         each seeded leaf at its block's lag count from the block."""
         starts = dict.fromkeys(self._leaf_contexts()) if seed is None else seed
-        rows = {u: context_rows(self.data, u, self.horizon) for u in sorted(starts)}
+        rows = {u: self.index.rows(u, self.horizon) for u in sorted(starts)}
         assigned = sum(r.size for r in rows.values())
         if seed is None and assigned != self.data.n - self.horizon:
             raise VlmcxError(
@@ -303,9 +309,13 @@ class _Engine:
             h = len(u) if block is None else block.h
             self.leaves[u] = self._fit_state(u, r, h=h, start=block)
 
-    def _fit(self, rows: np.ndarray, design: LeafDesign, h: int,
+    def _design(self, u: Context, rows: np.ndarray) -> LeafDesign:
+        return glm._design(self.index, u, rows, len(u), self.p)
+
+    def _fit(self, u: Context, rows: np.ndarray, h: int,
              start: ParamBlock | None = None) -> glm.MleResult:
-        """``fit_leaf`` through the engine's fit cache, keyed by the design's rows.
+        """``fit_leaf`` of leaf ``u`` on ``rows`` through the engine's fit
+        cache, keyed by the rows; the design is gathered only on a miss.
 
         Only successful fits are stored: a failure is recomputed, since a
         kept exception would hold its traceback and, through it, the engine.
@@ -316,7 +326,7 @@ class _Engine:
         key = (rows.tobytes(), h, warm)
         if key in self._fit_cache:
             return self._fit_cache[key]
-        res = fit_leaf(design, h, start=start)
+        res = fit_leaf(self._design(u, rows), h, start=start)
         self._fit_cache[key] = res
         return res
 
@@ -324,37 +334,32 @@ class _Engine:
                    start: ParamBlock | None) -> _LeafState:
         """Fit leaf ``u`` on ``rows``, else its intercept-only model, else hold
         zeros (the null fit of a leaf without rows); a zero block reports 0 iterations."""
-        design = glm._design(self.data, u, rows, len(u), self.p)
         res = None
-        if design.m == 0:
-            self.notes.append(
-                f"no transitions for {context_label(design.context)}; using a null fit"
-            )
+        if rows.size == 0:
+            self.notes.append(f"no transitions for {context_label(u)}; using a null fit")
         else:
             try:
-                res = self._fit(rows, design, h, start)
+                res = self._fit(u, rows, h, start)
             except NotConverged:
                 try:
-                    res = self._fit(rows, design, 0)
+                    res = self._fit(u, rows, 0)
                     self.notes.append(
-                        f"fit at {context_label(design.context)} with {h} lags did not "
+                        f"fit at {context_label(u)} with {h} lags did not "
                         f"converge; fell back to intercept only"
                     )
                 except NotConverged:
-                    self.notes.append(
-                        f"fit at {context_label(design.context)} failed entirely; using zeros"
-                    )
+                    self.notes.append(f"fit at {context_label(u)} failed entirely; using zeros")
         if res is None:
             k = self.p - 1
             zeros = ParamBlock(alpha=np.zeros(k), beta=np.zeros((k, 0, max(self.d, 1))))
-            res = glm.MleResult(zeros, design_loglik(design, zeros), 0,
+            res = glm.MleResult(zeros, design_loglik(self._design(u, rows), zeros), 0,
                                 converged=False, separated=False)
         elif res.separated:
             self.notes.append(
-                f"separation at {context_label(design.context)}: "
+                f"separation at {context_label(u)}: "
                 f"a coefficient passed {glm.SEPARATION_BOUND} in magnitude"
             )
-        return _LeafState(rows, design, res)
+        return _LeafState(rows, res)
 
     def clone(self, config: FitConfig) -> "_Engine":
         eng = copy.copy(self)
@@ -420,14 +425,15 @@ class _Engine:
         h = st.fit.params.h
         df = (self.p - 1) * self.d
         try:
-            res = self._fit(st.rows, st.design, h - 1, st.fit.params)
+            res = self._fit(u, st.rows, h - 1, st.fit.params)
         except (NotConverged, DataError) as exc:
             self.notes.append(
                 f"constrained fit at {context_label(u)} (lag {h}) failed: {exc}; "
                 f"treating the lag as droppable"
             )
             block = st.fit.params.truncated(h - 1)
-            res = glm.MleResult(block, design_loglik(st.design.truncated(h - 1), block), 0,
+            design = self._design(u, st.rows).truncated(h - 1)
+            res = glm.MleResult(block, design_loglik(design, block), 0,
                                 converged=False, separated=st.fit.separated)
             test = LrtResult(float("nan"), df, float("nan"))
             dropped = True
@@ -442,7 +448,7 @@ class _Engine:
                 test = LrtResult(0.0, df, 1.0)
             dropped = test.p_value > gamma_eff
         if dropped:
-            self.leaves[u] = _LeafState(st.rows, st.design, res)
+            self.leaves[u] = _LeafState(st.rows, res)
         self.audit.append(
             AuditRecord(
                 kind, (u,), h, test.statistic, test.df, test.p_value,
@@ -751,19 +757,23 @@ def select_tuning(
     BIC wins whatever its s.  Every grid point's config is validated before
     any tree is grown, so an invalid s or gamma raises ``DataError``.
 
-    Grid points share leaf fits within one call, keyed by a regression's
-    rows (its transition times, in design-row order), lag count and warm
-    start: one fitted on the same rows is fitted once and reused, so every
-    candidate equals a separate ``fit`` at that (s, gamma) and horizon.
+    Grid points share one ``HistoryIndex`` of the data, built once per call:
+    every s grows its tree from the index's counts, and every leaf takes its
+    rows and its design from it.  They also share leaf fits within one call,
+    keyed by a regression's rows (its transition times, in design-row
+    order), lag count and warm start: one fitted on the same rows is fitted
+    once and reused, and its design is gathered only for that first fit.  So
+    every candidate equals a separate ``fit`` at that (s, gamma) and horizon.
     """
     base = config or FitConfig()
     grid = _grid_configs(s_grid, gamma_grid, base)
     p_eff = _infer_p(data, p)
+    index = HistoryIndex(data)
     failures: list[str] = []
     structures: dict[int, set[Context]] = {}
     for s in grid:
         try:
-            structures[s] = _grow_structure(data, p_eff, s, base.max_order_cap)
+            structures[s] = _grow_structure(index, p_eff, s, base.max_order_cap)
         except DataTooShort as exc:
             failures.append(f"s={s}: {exc}")
     if not structures:
@@ -777,7 +787,7 @@ def select_tuning(
         try:
             base_engine = _Engine(
                 data, base.replace(s=s), p=p_eff, horizon=horizon, structure=structure,
-                fit_cache=fit_cache,
+                fit_cache=fit_cache, index=index,
             )
         except VlmcxError as exc:
             failures.append(f"s={s}: {exc}")

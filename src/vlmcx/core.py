@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -134,6 +134,17 @@ class ParamBlock:
             and np.array_equal(self.alpha, other.alpha)
             and np.array_equal(self.beta, other.beta)
         )
+
+
+def _with_ancestors(leaves: Mapping[Context, ParamBlock | None]) -> dict[Context, ParamBlock | None]:
+    """``leaves`` plus every proper prefix of their contexts that is not
+    among them, as an internal node (None): a prefix-closed node map."""
+    nodes: dict[Context, ParamBlock | None] = {}
+    for u, block in leaves.items():
+        nodes[u] = block
+        for k in range(len(u)):
+            nodes.setdefault(u[:k], None)
+    return nodes
 
 
 @dataclass(eq=False)
@@ -312,7 +323,7 @@ class ContextTree:
             raise MalformedModel(f"model file missing or invalid field: {exc}") from exc
         if not isinstance(raw_leaves, list) or not raw_leaves:
             raise MalformedModel("model file must list at least one leaf")
-        nodes: dict[Context, ParamBlock | None] = {}
+        leaves: dict[Context, ParamBlock] = {}
         for entry in raw_leaves:
             try:
                 u = _as_context(entry["context"])
@@ -328,13 +339,11 @@ class ContextTree:
                 raise MalformedModel(
                     f"leaf {context_label(u)}: beta rows have width {beta.shape[2]}, expected {d}"
                 )
-            if nodes.get(u) is not None:
+            if u in leaves:
                 raise MalformedModel(f"duplicate leaf {context_label(u)}")
-            nodes[u] = ParamBlock(alpha=alpha, beta=beta)
-            for k in range(len(u)):
-                nodes.setdefault(u[:k], None)
+            leaves[u] = ParamBlock(alpha=alpha, beta=beta)
         # a leaf that is also another's ancestor is an internal node with parameters
-        return cls(p=p, d=d, nodes=nodes)
+        return cls(p=p, d=d, nodes=_with_ancestors(leaves))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextTree):
@@ -402,14 +411,106 @@ class Dataset:
         return int(self.covariates.shape[1])
 
 
-def context_rows(data: Dataset, u: Context, start: int, stop: int | None = None) -> np.ndarray:
-    """Time points ``t`` in ``[start, stop)`` (``stop`` at most ``n + 1``,
-    default ``n``; ``start >= len(u)``) with ``states[t-1-j] == u[j]`` for all j."""
-    stop = max(start, data.n if stop is None else stop)
-    mask = np.ones(stop - start, dtype=bool)
-    for j, sym in enumerate(u):
-        mask &= data.states[start - 1 - j : stop - 1 - j] == sym
-    return start + np.flatnonzero(mask)
+class HistoryIndex:
+    """Every context's time points and the lagged covariates of one dataset.
+
+    Level ``k`` gives each time point ``t`` in ``[k, n]`` a code for its
+    depth-``k`` history ``states[t-1], ..., states[t-k]``: the dense rank of
+    the pair (``states[t-k]``, depth ``k - 1`` code), so codes stay below
+    ``n + 1`` however deep or wide the tree.  Its positions are sorted by
+    code and, within one code, by time, so a context's time points are one
+    ascending slice.  Levels and the lagged matrix are built on first use,
+    as deep as a caller asks.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        n = data.n
+        self._alphabet, self._symbols = np.unique(data.states, return_inverse=True)
+        # per level: positions by (code, t), each code's key, its slice offsets
+        self._pos = [np.arange(n + 1, dtype=np.int32)]
+        self._keys = [np.zeros(1, dtype=np.int64)]
+        self._off = [np.array([0, n + 1])]
+        self._code_at = np.zeros(n + 1, dtype=np.int32)  # deepest level's code by t
+        self._codes: dict[Context, int | None] = {ROOT: 0}
+        self._lagged: np.ndarray | None = None
+
+    def _level(self, k: int) -> int:
+        """Build the levels up to ``k``; returns ``k``."""
+        n = self.data.n
+        while len(self._pos) <= k:
+            depth = len(self._pos)
+            keys = self._symbols[: max(n + 1 - depth, 0)] * self._keys[-1].size
+            keys += self._code_at[depth:]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            head = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            code_at = np.zeros(n + 1, dtype=np.int32)
+            code_at[depth + order] = np.cumsum(head) - 1
+            self._code_at = code_at
+            self._pos.append((depth + order).astype(np.int32))
+            self._keys.append(keys[starts])
+            self._off.append(np.append(starts, keys.size))
+        return k
+
+    def _symbol(self, state: int) -> int | None:
+        i = int(np.searchsorted(self._alphabet, state))
+        return i if i < self._alphabet.size and self._alphabet[i] == state else None
+
+    def _code(self, u: Context) -> int | None:
+        """Code of context ``u`` at level ``len(u)``; None when no time point has it."""
+        if u in self._codes:
+            return self._codes[u]
+        parent, sym = self._code(u[:-1]), self._symbol(u[-1])
+        code = None
+        if parent is not None and sym is not None:
+            keys = self._keys[self._level(len(u))]
+            key = sym * self._keys[len(u) - 1].size + parent
+            i = int(np.searchsorted(keys, key))
+            code = i if i < keys.size and keys[i] == key else None
+        self._codes[u] = code
+        return code
+
+    def rows(self, u: Context, start: int, stop: int | None = None) -> np.ndarray:
+        """Time points ``t`` in ``[start, stop)`` (``stop`` at most ``n + 1``,
+        default ``n``; ``start >= len(u)``) with ``states[t-1-j] == u[j]`` for
+        all j, ascending."""
+        stop = max(start, self.data.n if stop is None else stop)
+        code = self._code(u)
+        if code is None:
+            return np.arange(0)
+        k = len(u)
+        block = self._pos[k][self._off[k][code] : self._off[k][code + 1]]
+        lo, hi = np.searchsorted(block, (start, stop))
+        return block[lo:hi].astype(np.intp)
+
+    def child_counts(self, parents: Sequence[Context], p: int) -> np.ndarray:
+        """Occurrences of each child ``u + (w,)``, ``w < p``, of ``parents``
+        (all of one depth), as a ``(len(parents), p)`` array; an occurrence is
+        a time point in ``[len(u) + 1, n]`` with that history."""
+        k = self._level(len(parents[0]) + 1)
+        if self._keys[k].size == 0:  # no time point reaches depth k
+            return np.zeros((len(parents), p), dtype=np.int64)
+        codes = np.array([-1 if c is None else c for c in map(self._code, parents)])
+        syms = np.array([-1 if a is None else a for a in map(self._symbol, range(p))])
+        keys = syms * self._keys[k - 1].size + codes[:, np.newaxis]
+        at = np.minimum(np.searchsorted(self._keys[k], keys), self._keys[k].size - 1)
+        hit = (codes[:, np.newaxis] >= 0) & (syms >= 0) & (self._keys[k][at] == keys)
+        return np.where(hit, np.diff(self._off[k])[at], 0)
+
+    def lagged(self, h: int) -> np.ndarray:
+        """The matrix ``[1, x[t-1], ..., x[t-h]]`` over ``t < n``, zero before
+        the start, with at least ``1 + h*d`` columns."""
+        n, d = self.data.n, self.data.d
+        if self._lagged is None or self._lagged.shape[1] < 1 + h * d:
+            L = np.zeros((n, 1 + h * d))
+            L[:, 0] = 1.0
+            for lag in range(1, h + 1):
+                L[lag:, 1 + (lag - 1) * d : 1 + lag * d] = self.data.covariates[: max(n - lag, 0)]
+            self._lagged = L
+        return self._lagged
 
 
 def count_occurrences(data: Dataset, v: Context | Sequence[int]) -> int:
@@ -422,4 +523,4 @@ def count_occurrences(data: Dataset, v: Context | Sequence[int]) -> int:
     if not v:
         return data.n
     # the window ending at position i is the history read at t = i + 1
-    return int(context_rows(data, v, len(v), data.n + 1).size)
+    return int(HistoryIndex(data).rows(v, len(v), data.n + 1).size)

@@ -29,10 +29,10 @@ from .core import (
     Context,
     ContextTree,
     Dataset,
+    HistoryIndex,
     ParamBlock,
     _integer,
     context_label,
-    context_rows,
 )
 from .errors import (
     AlphabetMismatch,
@@ -296,16 +296,15 @@ def build_design(
     horizon = tree.order if horizon is None else _integer("horizon", horizon, 0)
     if horizon < len(u):
         raise DataError(f"horizon {horizon} shorter than context {context_label(u)}")
-    return _design(data, u, context_rows(data, u, horizon), h, tree.p)
+    index = HistoryIndex(data)
+    return _design(index, u, index.rows(u, horizon), h, tree.p)
 
 
-def _design(data: Dataset, u: Context, rows: np.ndarray, h: int, p: int) -> LeafDesign:
+def _design(index: HistoryIndex, u: Context, rows: np.ndarray, h: int, p: int) -> LeafDesign:
     """Leaf ``u``'s design on the transitions at time points ``rows``, in
-    that order, with ``h`` lags."""
-    X = np.empty((rows.size, 1 + h * data.d))
-    X[:, 0] = 1.0
-    for lag in range(1, h + 1):
-        X[:, 1 + (lag - 1) * data.d : 1 + lag * data.d] = data.covariates[rows - lag]
+    that order, with ``h`` lags: one gather from the index's lagged matrix."""
+    data = index.data
+    X = index.lagged(h)[rows, : 1 + h * data.d]
     return LeafDesign(context=u, X=X, y=data.states[rows], h=h, d=data.d, p=p)
 
 

@@ -27,7 +27,15 @@ from .algorithm import (
     fit,
     select_tuning,
 )
-from .core import Context, ContextTree, Dataset, ParamBlock, _integer, context_label
+from .core import (
+    Context,
+    ContextTree,
+    Dataset,
+    ParamBlock,
+    _integer,
+    _with_ancestors,
+    context_label,
+)
 from .errors import AlphabetMismatch, DataError, UnknownModel, VlmcxError
 
 
@@ -59,13 +67,11 @@ class ModelSpec:
 
 
 def _binary_tree(leaves: dict[str, tuple[float, Sequence[float]]]) -> ContextTree:
-    nodes: dict[Context, ParamBlock | None] = {}
-    for label, (alpha, beta) in leaves.items():
-        u = tuple(int(c) for c in label)
-        nodes[u] = ParamBlock.binary(alpha, beta)
-        for k in range(len(u)):
-            nodes.setdefault(u[:k], None)
-    return ContextTree(p=2, d=1, nodes=nodes)
+    blocks = {
+        tuple(int(c) for c in label): ParamBlock.binary(alpha, beta)
+        for label, (alpha, beta) in leaves.items()
+    }
+    return ContextTree(p=2, d=1, nodes=_with_ancestors(blocks))
 
 
 def builtin_model(name: str) -> ModelSpec:

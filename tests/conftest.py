@@ -27,6 +27,26 @@ def accept_grid() -> TuningGrid:
     return TuningGrid(base=ACCEPT_BASE)
 
 
+def context_rows(data, u, start, stop=None):
+    """Oracle: time points ``t`` in ``[start, stop)`` with ``states[t-1-j] ==
+    u[j]`` for all j, found by one scan of the sequence per context symbol."""
+    stop = max(start, data.n if stop is None else stop)
+    mask = np.ones(stop - start, dtype=bool)
+    for j, sym in enumerate(u):
+        mask &= data.states[start - 1 - j : stop - 1 - j] == sym
+    return start + np.flatnonzero(mask)
+
+
+def lagged_design(data, rows, h):
+    """Oracle: the design ``[1, x[t-1], ..., x[t-h]]`` at ``rows``, filled
+    one lag at a time."""
+    X = np.empty((rows.size, 1 + h * data.d))
+    X[:, 0] = 1.0
+    for lag in range(1, h + 1):
+        X[:, 1 + (lag - 1) * data.d : 1 + lag * data.d] = data.covariates[rows - lag]
+    return X
+
+
 @pytest.fixture(scope="session")
 def mc_model2_n1000():
     """Model 2 recovery at n = 1000, 200 tuned runs."""

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import json
 import math
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 import vlmcx
-from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock
+from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock, algorithm
 from vlmcx.algorithm import (
     AuditRecord,
     FitReport,
@@ -32,6 +31,8 @@ from vlmcx.errors import (
 )
 from vlmcx.glm import LeafDesign, build_design, fit_leaf, log_likelihood
 from vlmcx.stats import lrt
+
+from conftest import context_rows, lagged_design
 
 
 def grow_oracle(data, p, s, cap):
@@ -381,6 +382,33 @@ class TestPastmostBetaTest:
         assert checked >= 2
 
 
+    def test_deep_wide_user_tree(self):
+        # depth 20 over 10 states: 10**20 histories, past any int64 code
+        depth, p, n = 20, 10, 3000
+        rng = np.random.default_rng(11)
+        states = np.where(rng.random(n) < 0.9, 0, rng.integers(0, p, size=n))
+        data = Dataset(states=states, covariates=rng.normal(size=n))
+        spine = (0,) * depth
+        nodes = {spine[:k]: None for k in range(depth)}
+        for k in range(depth):
+            for w in range(1, p):
+                nodes[spine[:k] + (w,)] = ParamBlock(alpha=np.zeros(p - 1), beta=np.zeros((p - 1, 0, 1)))
+        nodes[spine] = ParamBlock(alpha=np.zeros(p - 1), beta=np.full((p - 1, 1, 1), 0.1))
+        tree = ContextTree(p=p, d=1, nodes=nodes)
+        test, out = pastmost_beta_test(tree, spine, data)
+        assert test.df == p - 1
+        assert out.block(spine).h in (0, 1)
+        leaves = [spine, spine[:-1] + (3,), spine[:5] + (7,), (2,)]
+        engine = algorithm._seeded_engine(tree, leaves, data, None, None)
+        for u in leaves:
+            rows = context_rows(data, u, depth)
+            assert rows.size > 0
+            np.testing.assert_array_equal(engine.leaves[u].rows, rows)
+            design = build_design(data, tree, u, h=len(u))
+            np.testing.assert_array_equal(design.X, lagged_design(data, rows, len(u)))
+            np.testing.assert_array_equal(design.y, states[rows])
+
+
 class TestMergeSiblingsTest:
     def fixture_tree(self):
         b = ParamBlock.binary(0.3, [1.2])
@@ -624,6 +652,19 @@ class TestSelectTuning:
         if stall:
             # the tuning grid reuses intercept-only fallbacks across s and gamma
             assert 0 < tuned_fallbacks < len(fallbacks) - tuned_fallbacks
+
+    def test_builds_one_history_index_per_call(self, model2_data, monkeypatch):
+        built = []
+
+        class CountingIndex(algorithm.HistoryIndex):
+            def __init__(self, data):
+                built.append(data)
+                super().__init__(data)
+
+        monkeypatch.setattr(algorithm, "HistoryIndex", CountingIndex)
+        result = select_tuning(model2_data, s_grid=[2, 5, 10], gamma_grid=[1e-3, 1e-2])
+        assert len(result.candidates) == 6
+        assert built == [model2_data]
 
     def test_leaves_no_reference_cycles(self):
         data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vlmcx
-from vlmcx import ContextTree, Dataset, ParamBlock
-from vlmcx.core import ROOT, context_label, count_occurrences
+from vlmcx import ContextTree, Dataset, ParamBlock, glm
+from vlmcx.core import ROOT, HistoryIndex, context_label, count_occurrences
 from vlmcx.errors import (
     ChildrenNotLeaves,
     DataError,
@@ -15,6 +15,8 @@ from vlmcx.errors import (
     MalformedModel,
     RootHasNoSiblings,
 )
+
+from conftest import context_rows, lagged_design
 
 
 def leaf_block(alpha=0.0, beta_rows=()):
@@ -350,6 +352,46 @@ class TestCountOccurrences:
         total = sum(count_occurrences(d, tuple(v) + (w,)) for w in (0, 1))
         gap = count_occurrences(d, tuple(v)) - total
         assert 0 <= gap <= len(v) + 1
+
+
+class TestHistoryIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(draw=st.data(), p=st.sampled_from([2, 3, 4]), d=st.integers(0, 2))
+    def test_matches_the_scans(self, draw, p, d):
+        states = draw.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=50))
+        n = len(states)
+        u = tuple(draw.draw(st.lists(st.integers(0, p - 1), max_size=5)))
+        start = draw.draw(st.integers(len(u), max(len(u), n + 1)))
+        stop = draw.draw(st.none() | st.integers(start, max(start, n + 1)))
+        cov = np.random.default_rng(n * 7 + d).normal(size=(n, d))
+        data = Dataset(states=np.array(states), covariates=cov)
+        index = HistoryIndex(data)
+
+        rows = index.rows(u, start, stop)
+        want = context_rows(data, u, start, stop)
+        assert rows.dtype == want.dtype
+        np.testing.assert_array_equal(rows, want)
+        # every window, the one that ends at t = n included
+        if u:
+            assert index.rows(u, len(u), n + 1).size == brute_count(states, u)
+        counts = index.child_counts([u], p)
+        assert counts.tolist() == [[brute_count(states, u + (w,)) for w in range(p)]]
+
+        rows = rows[rows < n]
+        h = draw.draw(st.integers(0, len(u)))
+        X = glm._design(index, u, rows, h, p).X
+        want = lagged_design(data, rows, h)
+        assert X.dtype == want.dtype and X.flags.c_contiguous
+        np.testing.assert_array_equal(X, want)
+
+    def test_shallow_gather_after_a_deep_one(self):
+        data = Dataset(states=[0, 1, 1, 0, 1, 0], covariates=np.arange(12.0).reshape(6, 2))
+        index = HistoryIndex(data)
+        rows = index.rows((1, 0), 2)
+        deep = glm._design(index, (1, 0), rows, 2, 2).X
+        shallow = glm._design(index, (1, 0), rows, 1, 2).X
+        np.testing.assert_array_equal(deep[:, :3], shallow)
+        assert shallow.shape == (rows.size, 3) and shallow.flags.c_contiguous
 
 
 class TestPublicSurface:

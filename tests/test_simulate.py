@@ -14,7 +14,6 @@ from vlmcx.errors import AlphabetMismatch, DataError, UnknownModel
 from vlmcx.glm import build_design, fit_leaf, hessian
 from vlmcx.simulate import (
     BUILTIN_MODELS,
-    EvalMetrics,
     ModelSpec,
     builtin_model,
     compare_trees,
