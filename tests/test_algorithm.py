@@ -381,7 +381,6 @@ class TestPastmostBetaTest:
             checked += 1
         assert checked >= 2
 
-
     def test_deep_wide_user_tree(self):
         # depth 20 over 10 states: 10**20 histories, past any int64 code
         depth, p, n = 20, 10, 3000
@@ -389,10 +388,11 @@ class TestPastmostBetaTest:
         states = np.where(rng.random(n) < 0.9, 0, rng.integers(0, p, size=n))
         data = Dataset(states=states, covariates=rng.normal(size=n))
         spine = (0,) * depth
+        lag_free = ParamBlock(alpha=np.zeros(p - 1), beta=np.zeros((p - 1, 0, 1)))
         nodes = {spine[:k]: None for k in range(depth)}
         for k in range(depth):
             for w in range(1, p):
-                nodes[spine[:k] + (w,)] = ParamBlock(alpha=np.zeros(p - 1), beta=np.zeros((p - 1, 0, 1)))
+                nodes[spine[:k] + (w,)] = lag_free
         nodes[spine] = ParamBlock(alpha=np.zeros(p - 1), beta=np.full((p - 1, 1, 1), 0.1))
         tree = ContextTree(p=p, d=1, nodes=nodes)
         test, out = pastmost_beta_test(tree, spine, data)
