@@ -289,14 +289,14 @@ class _Engine:
 
     # -- setup -------------------------------------------------------------
 
-    def _leaf_contexts(self) -> list[Context]:
-        internal = {u[:-1] for u in self.nodes if u}
-        return sorted(self.nodes - internal)
-
     def _fit_initial(self, seed: dict[Context, ParamBlock] | None) -> None:
         """Fit every leaf of the structure with all its lags from scratch, or
         each seeded leaf at its block's lag count from the block."""
-        starts = dict.fromkeys(self._leaf_contexts()) if seed is None else seed
+        if seed is None:
+            structure = ContextTree(p=self.p, d=self.d, nodes=dict.fromkeys(self.nodes))
+            starts = dict.fromkeys(structure.leaves())
+        else:
+            starts = seed
         rows = {u: self.index.rows(u, self.horizon) for u in sorted(starts)}
         assigned = sum(r.size for r in rows.values())
         if seed is None and assigned != self.data.n - self.horizon:
@@ -317,18 +317,26 @@ class _Engine:
         """``fit_leaf`` of leaf ``u`` on ``rows`` through the engine's fit
         cache, keyed by the rows; the design is gathered only on a miss.
 
-        Only successful fits are stored: a failure is recomputed, since a
-        kept exception would hold its traceback and, through it, the engine.
+        A failure is stored too, as the ``NotConverged`` iterations and
+        message, and a hit on it raises a fresh ``NotConverged`` with both.
+        The exception itself is not kept: its traceback would hold the
+        engine.
         """
         warm = None if start is None else (
             start.alpha.tobytes(), start.beta.tobytes(), start.beta.shape
         )
         key = (rows.tobytes(), h, warm)
-        if key in self._fit_cache:
-            return self._fit_cache[key]
-        res = fit_leaf(self._design(u, rows), h, start=start)
-        self._fit_cache[key] = res
-        return res
+        hit = self._fit_cache.get(key)
+        if hit is None:
+            try:
+                hit = fit_leaf(self._design(u, rows), h, start=start)
+            except NotConverged as exc:
+                self._fit_cache[key] = (exc.iterations, str(exc))
+                raise
+            self._fit_cache[key] = hit
+        if isinstance(hit, tuple):
+            raise NotConverged(*hit)
+        return hit
 
     def _fit_state(self, u: Context, rows: np.ndarray, h: int,
                    start: ParamBlock | None) -> _LeafState:
@@ -762,8 +770,11 @@ def select_tuning(
     rows and its design from it.  They also share leaf fits within one call,
     keyed by a regression's rows (its transition times, in design-row
     order), lag count and warm start: one fitted on the same rows is fitted
-    once and reused, and its design is gathered only for that first fit.  So
-    every candidate equals a separate ``fit`` at that (s, gamma) and horizon.
+    once and reused, and its design is gathered only for that first fit.  A
+    fit that does not converge is shared the same way, as its iteration
+    count and message.  The p-values of repeated tests come from the memo of
+    ``chi2_sf``.  So every candidate equals a separate ``fit`` at that
+    (s, gamma) and horizon.
     """
     base = config or FitConfig()
     grid = _grid_configs(s_grid, gamma_grid, base)

@@ -9,10 +9,12 @@ belongs to covariate ``l`` observed ``t + 1`` steps back.
 
 Fitting is plain Newton-Raphson with step-halving, through one kernel built
 once per design.  The logistic (p = 2) or multinomial form is chosen when the
-kernel is built, and nowhere else.  The kernel computes the link at a point
-(the log-likelihood and the fitted probabilities), and the score and the
-information matrix from those probabilities, so each iterate is evaluated
-once.  A singular information matrix gets a small ridge; iterates whose
+kernel is built, and nowhere else.  The kernel evaluates the link at a point
+(the log-likelihood and the linear predictors behind it), turns those into
+fitted probabilities, and computes the score and the information matrix from
+the probabilities.  A line search evaluates every trial step, but only the
+start and the accepted steps get probabilities; a rejected step needs none.
+A singular information matrix gets a small ridge; iterates whose
 coefficients pass ``SEPARATION_BOUND`` in magnitude mark the result as
 separated but still return it.
 """
@@ -104,8 +106,9 @@ class _Kernel:
     """One design's link, score and information at flat parameters ``theta``,
     ``(p - 1) * q`` long and row-major by target.  ``_kernel`` builds the
     logistic or the multinomial form once per design; ``evaluate`` returns
-    the log-likelihood and the fitted probabilities that ``score`` and
-    ``information`` read."""
+    the log-likelihood and the linear predictors it computed them from,
+    ``probabilities`` turns those into the fitted probabilities that
+    ``score`` and ``information`` read."""
 
     @staticmethod
     def solve(A: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -120,7 +123,8 @@ class _Kernel:
 
 
 class _Logistic(_Kernel):
-    """p = 2: the probabilities are the (m,) vector of P(state 1)."""
+    """p = 2: the linear predictor and the probabilities are (m,) vectors,
+    the log-odds and P(state 1)."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.X, self.Xt = X, X.T
@@ -128,8 +132,11 @@ class _Logistic(_Kernel):
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         z = self.X @ theta
-        mu = np.exp(-np.logaddexp(0.0, -z))
-        return float(self.y @ z - np.logaddexp(0.0, z).sum()), mu
+        return float(self.y @ z - np.logaddexp(0.0, z).sum()), z
+
+    @staticmethod
+    def probabilities(z: np.ndarray) -> np.ndarray:
+        return np.exp(-np.logaddexp(0.0, -z))
 
     def score(self, mu: np.ndarray) -> np.ndarray:
         return self.Xt @ (self.y - mu)
@@ -140,7 +147,8 @@ class _Logistic(_Kernel):
 
 
 class _Multinomial(_Kernel):
-    """p > 2: the probabilities are the (m, p - 1) matrix of states 1..p-1."""
+    """p > 2: the link gives the (m, p) log-probabilities of every state, and
+    the probabilities are the (m, p - 1) matrix of states 1..p-1."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, p: int):
         m = X.shape[0]
@@ -155,7 +163,11 @@ class _Multinomial(_Kernel):
         L = np.concatenate([self.base, self.X @ theta.reshape(self.k, -1).T], axis=1)
         mx = L.max(axis=1, keepdims=True)
         LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
-        return float(LP.take(self.pick).sum()), np.exp(LP[:, 1:])
+        return float(LP.take(self.pick).sum()), LP
+
+    @staticmethod
+    def probabilities(LP: np.ndarray) -> np.ndarray:
+        return np.exp(LP[:, 1:])
 
     def score(self, P: np.ndarray) -> np.ndarray:
         return np.concatenate([self.Xt @ (self.onehot[j] - P[:, j]) for j in range(self.k)])
@@ -183,16 +195,21 @@ def _flat(design: LeafDesign, params) -> np.ndarray:
     return np.asarray(params, dtype=float).reshape(design.p - 1, design.n_cols).ravel()
 
 
+def _fitted(design: LeafDesign, params) -> tuple[_Kernel, np.ndarray]:
+    kernel = _kernel(design)
+    return kernel, kernel.probabilities(kernel.evaluate(_flat(design, params))[1])
+
+
 def gradient(design: LeafDesign, params: np.ndarray) -> np.ndarray:
     """Score vector at ``params`` (flattened (p-1, 1 + h*d), row-major)."""
-    kernel = _kernel(design)
-    return kernel.score(kernel.evaluate(_flat(design, params))[1])
+    kernel, P = _fitted(design, params)
+    return kernel.score(P)
 
 
 def hessian(design: LeafDesign, params: np.ndarray) -> np.ndarray:
     """Hessian matrix at ``params``; symmetric and negative semidefinite."""
-    kernel = _kernel(design)
-    return -kernel.information(kernel.evaluate(_flat(design, params))[1])
+    kernel, P = _fitted(design, params)
+    return -kernel.information(P)
 
 
 def design_loglik(design: LeafDesign, block: ParamBlock) -> float:
@@ -370,6 +387,23 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
 # -- Newton fitting -----------------------------------------------------------
 
 
+# The two stopping checks of the Newton loop read a handful of entries, so
+# they run on Python floats, where numpy's call overhead would dominate.  Each
+# gives the answer of the numpy expression in its docstring for every input:
+# numpy's maximum is NaN as soon as one entry is NaN.
+
+
+def _within_tolerance(g: list[float], tol: float) -> bool:
+    """``np.abs(g).max() <= tol``: a NaN anywhere fails it."""
+    return all(abs(v) <= tol for v in g)
+
+
+def _past_separation_bound(theta: list[float]) -> bool:
+    """``np.abs(theta).max() > SEPARATION_BOUND``: a NaN anywhere makes the
+    answer False."""
+    return any(abs(v) > SEPARATION_BOUND for v in theta) and not any(v != v for v in theta)
+
+
 def fit_leaf(
     design: LeafDesign,
     h: int | None = None,
@@ -399,30 +433,31 @@ def fit_leaf(
     iterations = 0
     separated = False
     with np.errstate(all="ignore"):
-        ll, P = kernel.evaluate(theta)
+        ll, eta = kernel.evaluate(theta)
+        P = kernel.probabilities(eta)
         if trace is not None:
             trace.append(ll)
         while True:
             g = kernel.score(P)
-            converged = bool(np.abs(g).max() <= grad_tol)
+            converged = _within_tolerance(g.tolist(), grad_tol)
             if converged or separated or iterations >= max_iter:
                 break
             step = kernel.solve(kernel.information(P), g)
             floor = ll - 1e-10 * (1.0 + abs(ll))
-            scale = 1.0
+            scale, cand = 1.0, theta + step  # 1.0 * step is step, bit for bit
             for _ in range(MAX_HALVINGS + 1):
-                cand = theta + scale * step
-                ll_new, P_new = kernel.evaluate(cand)
+                ll_new, eta = kernel.evaluate(cand)
                 if math.isfinite(ll_new) and ll_new >= floor:
                     break
                 scale *= 0.5
+                cand = theta + scale * step
             else:
                 raise NotConverged(iterations + 1)
-            theta, ll, P = cand, ll_new, P_new
+            theta, ll, P = cand, ll_new, kernel.probabilities(eta)
             iterations += 1
             if trace is not None:
                 trace.append(ll)
-            separated = bool(np.abs(theta).max() > SEPARATION_BOUND)
+            separated = _past_separation_bound(theta.tolist())
     if not (converged or separated):
         raise NotConverged(iterations)
     return MleResult(

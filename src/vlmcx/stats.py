@@ -8,6 +8,7 @@ to near machine precision for the degrees of freedom used here.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -87,8 +88,14 @@ def chi2_cdf(x: float, df: int) -> float:
     return max(0.0, 1.0 - _gamma_cf(a, hx))
 
 
+@functools.lru_cache(maxsize=1024)
 def chi2_sf(x: float, df: int) -> float:
-    """P(X > x), computed directly so tiny tails keep full precision."""
+    """P(X > x), computed directly so tiny tails keep full precision.
+
+    Memoized by ``(x, df)``: a tuning grid repeats the same tests on shared
+    fits.  An invalid argument raises on every call, since a raise is never
+    stored.
+    """
     _check_chi2_args(x, df)
     if not math.isfinite(x):
         return 0.0

@@ -7,12 +7,14 @@ acceptance checks.  All of them are deterministic: run i uses BASE_SEED + i.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import vlmcx
-from vlmcx import Dataset, FitConfig, TuningGrid, select_tuning
-from vlmcx.errors import VlmcxError
+from vlmcx import Dataset, FitConfig, TuningGrid, glm, select_tuning
+from vlmcx.errors import NotConverged, VlmcxError
 
 BASE_SEED = 20250814
 
@@ -45,6 +47,82 @@ def lagged_design(data, rows, h):
     for lag in range(1, h + 1):
         X[:, 1 + (lag - 1) * data.d : 1 + lag * data.d] = data.covariates[rows - lag]
     return X
+
+
+def reference_fit_leaf(design, h=None, *, start=None, grad_tol=glm.GRAD_TOL,
+                       max_iter=glm.MAX_ITER, trace=None):
+    """Oracle: ``glm.fit_leaf`` as an eager Newton loop.  Every evaluation,
+    rejected trial steps included, computes the fitted probabilities with
+    the link; each step is ``theta + scale * step``; the stopping checks are
+    numpy reductions.  It shares only the linear solve and the coefficient
+    layout with the package."""
+    h = design.h if h is None else h
+    X, y, k = design.X[:, : 1 + h * design.d], design.y, design.p - 1
+    m, q = X.shape
+
+    def evaluate(theta):
+        if k == 1:
+            z = X @ theta
+            mu = np.exp(-np.logaddexp(0.0, -z))
+            return float((y == 1).astype(float) @ z - np.logaddexp(0.0, z).sum()), mu[:, None]
+        L = np.concatenate([np.zeros((m, 1)), X @ theta.reshape(k, -1).T], axis=1)
+        mx = L.max(axis=1, keepdims=True)
+        LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
+        return float(LP.take(np.arange(m) * design.p + y).sum()), np.exp(LP[:, 1:])
+
+    def score(P):
+        return np.concatenate([X.T @ ((y == j + 1).astype(float) - P[:, j]) for j in range(k)])
+
+    def information(P):
+        A = np.empty((k * q, k * q))
+        for j in range(k):
+            for l in range(j, k):
+                w = P[:, j] * ((1.0 if j == l else 0.0) - P[:, l])
+                block = (X * w[:, np.newaxis]).T @ X
+                A[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
+                if l != j:
+                    A[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
+        return A
+
+    if start is None:
+        theta = np.zeros(k * q)
+    else:
+        theta = glm._theta_from_block(start, h, design.d).ravel()
+    iterations, separated = 0, False
+    with np.errstate(all="ignore"):
+        ll, P = evaluate(theta)
+        if trace is not None:
+            trace.append(ll)
+        while True:
+            g = score(P)
+            converged = bool(np.abs(g).max() <= grad_tol)
+            if converged or separated or iterations >= max_iter:
+                break
+            step = glm._Kernel.solve(information(P), g)
+            floor = ll - 1e-10 * (1.0 + abs(ll))
+            scale = 1.0
+            for _ in range(glm.MAX_HALVINGS + 1):
+                cand = theta + scale * step
+                ll_new, P_new = evaluate(cand)
+                if math.isfinite(ll_new) and ll_new >= floor:
+                    break
+                scale *= 0.5
+            else:
+                raise NotConverged(iterations + 1)
+            theta, ll, P = cand, ll_new, P_new
+            iterations += 1
+            if trace is not None:
+                trace.append(ll)
+            separated = bool(np.abs(theta).max() > glm.SEPARATION_BOUND)
+    if not (converged or separated):
+        raise NotConverged(iterations)
+    return glm.MleResult(
+        params=glm._block_from_theta(theta.reshape(k, -1), h, design.d),
+        loglik=ll,
+        iterations=iterations,
+        converged=converged,
+        separated=separated,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -653,6 +653,53 @@ class TestSelectTuning:
             # the tuning grid reuses intercept-only fallbacks across s and gamma
             assert 0 < tuned_fallbacks < len(fallbacks) - tuned_fallbacks
 
+    def test_failed_fits_are_fitted_once(self, monkeypatch):
+        # the fit cache keeps a NotConverged outcome as its iterations and
+        # message, so a grid point that requests a failed fit again gets the
+        # same error without a second Newton run
+        reached, failed = [], {}
+
+        def counting_fit_leaf(design, h=None, *, start=None, **kwargs):
+            warm = None if start is None else (start.alpha.tobytes(), start.beta.tobytes())
+            reached.append((design.X.tobytes(), design.y.tobytes(), h, warm))
+            return fit_leaf(design, h, start=start, **kwargs)
+
+        engine_fit = algorithm._Engine._fit
+
+        def recording_fit(engine, u, rows, h, start=None):
+            try:
+                return engine_fit(engine, u, rows, h, start)
+            except NotConverged as exc:
+                warm = None if start is None else (start.alpha.tobytes(), start.beta.tobytes())
+                failed.setdefault((rows.tobytes(), h, warm), []).append(
+                    (type(exc), exc.iterations, str(exc))
+                )
+                raise
+
+        monkeypatch.setattr("vlmcx.algorithm.fit_leaf", counting_fit_leaf)
+        monkeypatch.setattr(algorithm._Engine, "_fit", recording_fit)
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+        base = FitConfig(ic_include_intercepts=True)
+        result = select_tuning(data, config=base, p=2)
+        assert len(reached) == len(set(reached))
+        assert max(len(raised) for raised in failed.values()) > 1
+        for raised in failed.values():
+            assert raised == raised[:1] * len(raised)
+            assert raised[0][0] is NotConverged
+        direct = fit(data, result.config, p=2, horizon=result.report.horizon)
+        assert result.report.to_json() == direct.to_json()
+
+    def test_fit_cache_keeps_no_exception(self):
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+        cache: dict = {}
+        engine = algorithm._Engine(data, FitConfig(), fit_cache=cache)
+        engine.run()
+        assert any("no convergence after" in note for note in engine.notes)
+        failures = [v for v in cache.values() if not isinstance(v, algorithm.glm.MleResult)]
+        assert failures
+        for iterations, message in failures:
+            assert type(iterations) is int and message == f"no convergence after {iterations} iterations"
+
     def test_builds_one_history_index_per_call(self, model2_data, monkeypatch):
         built = []
 

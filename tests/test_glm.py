@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_fit_leaf
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlmcx import ContextTree, Dataset, ParamBlock, glm
 from vlmcx.errors import (
@@ -14,6 +17,8 @@ from vlmcx.errors import (
 )
 from vlmcx.glm import (
     GRAD_TOL,
+    MAX_ITER,
+    SEPARATION_BOUND,
     LeafDesign,
     build_design,
     design_loglik,
@@ -461,6 +466,114 @@ class TestFitLeafExits:
         assert len(trace) == res.iterations + 1
         assert trace[-1] == res.loglik
         assert type(res.converged) is bool and type(res.separated) is bool
+
+
+def outcome(fn, design, h=None, **kw):
+    """Everything a fit reports, bit for bit: the result with its trace, or
+    the ``NotConverged`` iterations and message."""
+    trace: list = []
+    try:
+        res = fn(design, h, trace=trace, **kw)
+    except NotConverged as exc:
+        return ("not converged", exc.iterations, str(exc))
+    return (
+        res.loglik.hex(), res.params.alpha.tobytes(), res.params.beta.tobytes(),
+        res.params.beta.shape, res.iterations, res.converged, res.separated,
+        [ll.hex() for ll in trace],
+    )
+
+
+@st.composite
+def newton_cases(draw):
+    """A design, a lag count and a start: random or separated responses,
+    covariates from tiny to large, cold, warm or far past SEPARATION_BOUND."""
+    p, d = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    h = draw(st.integers(0, 2))
+    m = draw(st.integers(3, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.ones((m, 1 + h * d))
+    X[:, 1:] = rng.normal(size=(m, h * d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    if draw(st.booleans()) and h > 0:
+        # responses ordered by the first covariate: completely separated
+        y = np.digitize(X[:, 1], np.quantile(X[:, 1], np.arange(1, p) / p))
+    else:
+        y = rng.integers(0, p, size=m)
+    design = LeafDesign(context=(0,) * max(h, 1), X=X, y=y, h=h, d=d, p=p)
+    h_fit = draw(st.integers(0, h))
+    start = draw(st.sampled_from(["cold", "warm", "beyond"]))
+    if start == "cold":
+        block = None
+    elif start == "warm":
+        block = ParamBlock(alpha=rng.normal(size=p - 1), beta=rng.normal(size=(p - 1, h, d)))
+    else:
+        block = ParamBlock(alpha=np.full(p - 1, 1.5 * SEPARATION_BOUND),
+                           beta=rng.normal(size=(p - 1, h, d)))
+    max_iter = draw(st.sampled_from([0, 1, 3, MAX_ITER, MAX_ITER, MAX_ITER]))
+    return design, h_fit, block, max_iter
+
+
+class TestLeanNewton:
+    """``fit_leaf`` evaluates probabilities only for accepted steps and runs
+    its stopping checks on Python floats; every outcome equals the eager
+    loop kept in the tests as ``reference_fit_leaf``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=newton_cases())
+    def test_equals_the_eager_loop(self, case):
+        design, h, start, max_iter = case
+        kw = dict(start=start, max_iter=max_iter)
+        assert outcome(fit_leaf, design, h, **kw) == outcome(reference_fit_leaf, design, h, **kw)
+
+    @pytest.mark.parametrize("u", [(0, 0, 0, 1, 1), (1, 0), (0, 1)])
+    def test_model2_leaves_equal_the_eager_loop(self, model2_seed_designs, u):
+        # (0, 0, 0, 1, 1) is the separated full fit whose warm-started
+        # constrained fit at h=4 fails after 1 iteration
+        design = model2_seed_designs(u)
+        full = fit_leaf(design)
+        assert outcome(fit_leaf, design) == outcome(reference_fit_leaf, design)
+        for h in range(design.h):
+            for start in (None, full.params):
+                got = outcome(fit_leaf, design, h, start=start)
+                assert got == outcome(reference_fit_leaf, design, h, start=start)
+        if u == (0, 0, 0, 1, 1):
+            assert full.separated
+            assert outcome(fit_leaf, design, 4, start=full.params) == (
+                "not converged", 1, "no convergence after 1 iterations"
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3]),
+        row=st.integers(0, 29),
+        col=st.integers(0, 2),
+        max_iter=st.sampled_from([0, MAX_ITER]),
+    )
+    def test_nan_cell_fails_like_the_eager_loop(self, p, row, col, max_iter):
+        design = random_design(np.random.default_rng(p), m=30, h=2, d=1, p=p)
+        design.X[row, col] = np.nan
+        got = outcome(fit_leaf, design, max_iter=max_iter)
+        assert got[0] == "not converged"
+        assert got == outcome(reference_fit_leaf, design, max_iter=max_iter)
+
+    values = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=values, tol=st.one_of(st.just(GRAD_TOL), st.floats(allow_nan=True)))
+    def test_tolerance_check_is_the_numpy_one(self, g, tol):
+        assert glm._within_tolerance(g, tol) is bool(np.abs(np.array(g)).max() <= tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=values)
+    def test_separation_check_is_the_numpy_one(self, theta):
+        want = bool(np.abs(np.array(theta)).max() > SEPARATION_BOUND)
+        assert glm._past_separation_bound(theta) is want
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_nan_anywhere_fails_both_checks(self, at):
+        values = [0.0, 40.0, -1e-9, 1e-12]
+        values[at] = math.nan
+        assert glm._within_tolerance(values, math.inf) is False
+        assert glm._past_separation_bound(values) is False
 
 
 class TestNewtonSolve:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,26 @@ class TestChi2Sf:
 
     def test_zero_statistic(self):
         assert chi2_sf(0.0, 3) == 1.0
+
+    @pytest.mark.parametrize("x, df", [(0.0, 1), (3.7, 2), (45.5, 7), (1300.0, 1)])
+    def test_memo_returns_the_computed_value(self, x, df):
+        chi2_sf.cache_clear()
+        first = chi2_sf(x, df)
+        assert chi2_sf.__wrapped__(x, df).hex() == first.hex()
+        assert chi2_sf(x, df).hex() == first.hex()
+        assert chi2_sf(np.float64(x), np.int64(df)).hex() == first.hex()
+        chi2_sf.cache_clear()
+        assert chi2_sf(np.float64(x), df).hex() == first.hex()
+        assert chi2_sf(x, df).hex() == first.hex()
+
+    def test_memo_is_bounded(self):
+        assert chi2_sf.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("x, df", [(math.nan, 1), (-1.0, 2), (-1e-300, 1), (3.0, 0), (3.0, -2)])
+    def test_invalid_arguments_raise_on_every_call(self, x, df):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                chi2_sf(x, df)
 
 
 class TestChi2Quantile:
