@@ -151,6 +151,13 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
         return values[start - offset :]
 
     target = aligned(spec.target.column)
+    # NaN, inf and values past int64 fail the range test before any cast
+    beyond = ~(np.abs(target) < 2.0**63)
+    if beyond.any():
+        raise DataError(
+            f"target column {spec.target.column!r} has a non-finite or out-of-range "
+            f"value {float(target[beyond][0])!r} after its transform"
+        )
     if np.any(target < 0) or np.any(target != np.round(target)):
         raise DataError(
             f"target column {spec.target.column!r} must yield non-negative "

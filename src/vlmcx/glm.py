@@ -17,10 +17,19 @@ start and the accepted steps get probabilities; a rejected step needs none.
 A singular information matrix gets a small ridge; iterates whose
 coefficients pass ``SEPARATION_BOUND`` in magnitude mark the result as
 separated but still return it.
+
+Per-state arrays are stored state-major, one contiguous row of time points
+per state: the multinomial kernel's (p, m) predictors and (p - 1, m)
+probabilities, and the (p, t) predictors of each leaf in
+``log_likelihood``.  Reductions over the states then run as whole-row
+ufuncs, except the sum of exponentials, which is taken over a row-major
+copy so that it adds in numpy's row order (pairwise from 8 states on) and
+every result keeps the bits of the row-major form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,7 +117,8 @@ class _Kernel:
     logistic or the multinomial form once per design; ``evaluate`` returns
     the log-likelihood and the linear predictors it computed them from,
     ``probabilities`` turns those into the fitted probabilities that
-    ``score`` and ``information`` read."""
+    ``score`` and ``information`` read.  Both are (m,) vectors for p = 2 and
+    state-major (p, m) and (p - 1, m) arrays above."""
 
     @staticmethod
     def solve(A: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -147,42 +157,60 @@ class _Logistic(_Kernel):
 
 
 class _Multinomial(_Kernel):
-    """p > 2: the link gives the (m, p) log-probabilities of every state, and
-    the probabilities are the (m, p - 1) matrix of states 1..p-1."""
+    """p > 2, stored state-major: the link gives the (p, m) log-probabilities,
+    one contiguous row of ``m`` time points per state, and the probabilities
+    are the (p - 1, m) rows of states 1..p-1.  The max over states, the
+    exponentials and the per-target weights are then whole-row ufuncs.
+
+    The values are those of the row-major (m, p) form bit for bit.  The one
+    ordered reduction, the sum of exponentials over states, is taken on a
+    row-major copy: numpy sums a contiguous row pairwise once it has 8 or
+    more entries, while a sum over axis 0 adds the states one by one, which
+    rounds differently for p >= 8."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, p: int):
         m = X.shape[0]
         self.X, self.Xt, self.k = X, X.T, p - 1
-        self.base = np.zeros((m, 1))
+        self.L = np.zeros((p, m))  # row 0 is the baseline state's predictor
         # row j marks the transitions into state j + 1
         self.onehot = (y == np.arange(1, p)[:, np.newaxis]).astype(float)
-        # each row's observed state in the flattened (m, p) log-probabilities
-        self.pick = np.arange(m) * p + y
+        # each time point's observed state in the flattened (p, m) log-probabilities
+        self.pick = y * m + np.arange(m)
+        self.pairs = _target_pairs(self.k)
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        L = np.concatenate([self.base, self.X @ theta.reshape(self.k, -1).T], axis=1)
-        mx = L.max(axis=1, keepdims=True)
-        LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
+        L = self.L
+        L[1:] = (self.X @ theta.reshape(self.k, -1).T).T
+        mx = L.max(axis=0)
+        LP = L - (mx + np.log(np.exp(L - mx).T.copy().sum(axis=1)))
         return float(LP.take(self.pick).sum()), LP
 
     @staticmethod
     def probabilities(LP: np.ndarray) -> np.ndarray:
-        return np.exp(LP[:, 1:])
+        return np.exp(LP[1:])
 
     def score(self, P: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.Xt @ (self.onehot[j] - P[:, j]) for j in range(self.k)])
+        # one gemv per target, stacked; a single gemm rounds differently
+        return np.matmul(self.Xt, (self.onehot - P)[:, :, np.newaxis]).ravel()
 
     def information(self, P: np.ndarray) -> np.ndarray:
-        k, q = self.k, self.X.shape[1]
-        A = np.empty((k * q, k * q))
-        for j in range(k):
-            for l in range(j, k):
-                w = P[:, j] * ((1.0 if j == l else 0.0) - P[:, l])
-                block = (self.X * w[:, np.newaxis]).T @ self.X
-                A[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
-                if l != j:
-                    A[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
-        return A
+        (J, K, delta, off), k, q = self.pairs, self.k, self.X.shape[1]
+        W = P[J] * (delta - P[K])
+        # one gemm per (j, l) block, stacked: (X * w[:, None]).T @ X each
+        B = np.matmul((self.X * W[:, :, np.newaxis]).transpose(0, 2, 1), self.X)
+        A = np.empty((k, k, q, q))
+        A[J, K] = B
+        A[K[off], J[off]] = B[off].transpose(0, 2, 1)
+        return A.transpose(0, 2, 1, 3).reshape(k * q, k * q)
+
+
+@functools.cache
+def _target_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The target pairs (j, l), j <= l, of the information's upper blocks;
+    the Kronecker delta of each as a column, and which pairs are off the
+    diagonal."""
+    J, K = np.triu_indices(k)
+    return J, K, (J == K).astype(float)[:, np.newaxis], J != K
 
 
 def _kernel(design: LeafDesign) -> _Kernel:
@@ -357,13 +385,15 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
             if block is None:
                 first = min(first, int(t[0]))
                 continue
-            eta = np.tile(block.alpha, (t.size, 1))
+            # state-major (p, t) predictors, summed over states in row order
+            # as in _Multinomial.evaluate
+            z = np.zeros((tree.p, t.size))
+            z[1:] = block.alpha[:, np.newaxis]
             for lag in range(1, block.h + 1):
-                eta += cov[t - lag] @ block.beta[:, lag - 1, :].T
-            z = np.concatenate([np.zeros((t.size, 1)), eta], axis=1)
-            mx = z.max(axis=1)
-            norm = mx + np.log(np.exp(z - mx[:, np.newaxis]).sum(axis=1))
-            total += float((z[np.arange(t.size), states[t]] - norm).sum())
+                z[1:] += (cov[t - lag] @ block.beta[:, lag - 1, :].T).T
+            mx = z.max(axis=0)
+            norm = mx + np.log(np.exp(z - mx).T.copy().sum(axis=1))
+            total += float((z[states[t], np.arange(t.size)] - norm).sum())
             continue
         # t is ascending, so the histories too short to pass are a prefix
         if t[0] <= depth:

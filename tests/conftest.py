@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import vlmcx
-from vlmcx import Dataset, FitConfig, TuningGrid, glm, select_tuning
+from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock, TuningGrid, glm, select_tuning
 from vlmcx.errors import NotConverged, VlmcxError
 
 BASE_SEED = 20250814
@@ -49,61 +49,73 @@ def lagged_design(data, rows, h):
     return X
 
 
+def reference_link(X, y, p, theta):
+    """Oracle: the log-likelihood at flat ``theta`` and the (m, p - 1) fitted
+    probabilities of states 1..p-1, one row per time point (row-major).  A
+    multinomial row is a log-softmax over its p states."""
+    m, k = X.shape[0], p - 1
+    if k == 1:
+        z = X @ theta
+        mu = np.exp(-np.logaddexp(0.0, -z))
+        return float((y == 1).astype(float) @ z - np.logaddexp(0.0, z).sum()), mu[:, None]
+    L = np.concatenate([np.zeros((m, 1)), X @ theta.reshape(k, -1).T], axis=1)
+    mx = L.max(axis=1, keepdims=True)
+    LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
+    return float(LP.take(np.arange(m) * p + y).sum()), np.exp(LP[:, 1:])
+
+
+def reference_score(X, y, P):
+    """Oracle: the score from row-major probabilities, one gemv per target."""
+    return np.concatenate(
+        [X.T @ ((y == j + 1).astype(float) - P[:, j]) for j in range(P.shape[1])]
+    )
+
+
+def reference_information(X, P):
+    """Oracle: the information from row-major probabilities, one gemm per
+    upper block (j, l), mirrored below the diagonal."""
+    k, q = P.shape[1], X.shape[1]
+    A = np.empty((k * q, k * q))
+    for j in range(k):
+        for l in range(j, k):
+            w = P[:, j] * ((1.0 if j == l else 0.0) - P[:, l])
+            block = (X * w[:, np.newaxis]).T @ X
+            A[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
+            if l != j:
+                A[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
+    return A
+
+
 def reference_fit_leaf(design, h=None, *, start=None, grad_tol=glm.GRAD_TOL,
                        max_iter=glm.MAX_ITER, trace=None):
-    """Oracle: ``glm.fit_leaf`` as an eager Newton loop.  Every evaluation,
-    rejected trial steps included, computes the fitted probabilities with
-    the link; each step is ``theta + scale * step``; the stopping checks are
-    numpy reductions.  It shares only the linear solve and the coefficient
-    layout with the package."""
+    """Oracle: ``glm.fit_leaf`` as an eager Newton loop on the row-major
+    ``reference_link``, ``reference_score`` and ``reference_information``.
+    Every evaluation, rejected trial steps included, computes the fitted
+    probabilities with the link; each step is ``theta + scale * step``; the
+    stopping checks are numpy reductions.  It shares only the linear solve
+    and the coefficient layout with the package."""
     h = design.h if h is None else h
     X, y, k = design.X[:, : 1 + h * design.d], design.y, design.p - 1
-    m, q = X.shape
-
-    def evaluate(theta):
-        if k == 1:
-            z = X @ theta
-            mu = np.exp(-np.logaddexp(0.0, -z))
-            return float((y == 1).astype(float) @ z - np.logaddexp(0.0, z).sum()), mu[:, None]
-        L = np.concatenate([np.zeros((m, 1)), X @ theta.reshape(k, -1).T], axis=1)
-        mx = L.max(axis=1, keepdims=True)
-        LP = L - (mx + np.log(np.exp(L - mx).sum(axis=1, keepdims=True)))
-        return float(LP.take(np.arange(m) * design.p + y).sum()), np.exp(LP[:, 1:])
-
-    def score(P):
-        return np.concatenate([X.T @ ((y == j + 1).astype(float) - P[:, j]) for j in range(k)])
-
-    def information(P):
-        A = np.empty((k * q, k * q))
-        for j in range(k):
-            for l in range(j, k):
-                w = P[:, j] * ((1.0 if j == l else 0.0) - P[:, l])
-                block = (X * w[:, np.newaxis]).T @ X
-                A[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
-                if l != j:
-                    A[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
-        return A
-
     if start is None:
-        theta = np.zeros(k * q)
+        theta = np.zeros(k * X.shape[1])
     else:
         theta = glm._theta_from_block(start, h, design.d).ravel()
     iterations, separated = 0, False
     with np.errstate(all="ignore"):
-        ll, P = evaluate(theta)
+        ll, P = reference_link(X, y, design.p, theta)
         if trace is not None:
             trace.append(ll)
         while True:
-            g = score(P)
+            g = reference_score(X, y, P)
             converged = bool(np.abs(g).max() <= grad_tol)
             if converged or separated or iterations >= max_iter:
                 break
-            step = glm._Kernel.solve(information(P), g)
+            step = glm._Kernel.solve(reference_information(X, P), g)
             floor = ll - 1e-10 * (1.0 + abs(ll))
             scale = 1.0
             for _ in range(glm.MAX_HALVINGS + 1):
                 cand = theta + scale * step
-                ll_new, P_new = evaluate(cand)
+                ll_new, P_new = reference_link(X, y, design.p, cand)
                 if math.isfinite(ll_new) and ll_new >= floor:
                     break
                 scale *= 0.5
@@ -123,6 +135,43 @@ def reference_fit_leaf(design, h=None, *, start=None, grad_tol=glm.GRAD_TOL,
         converged=converged,
         separated=separated,
     )
+
+
+def reference_log_likelihood(tree, data, horizon):
+    """Oracle: ``glm.log_likelihood`` with a row-major (t, p) log-softmax per
+    leaf.  Each time point's leaf comes from ``tree.lookup``; the leaf totals
+    are added in the order of the package's walk, which pops the children of
+    a node from the highest state down, so descending contexts."""
+    by_leaf = {}
+    for t in range(horizon, data.n):
+        by_leaf.setdefault(tree.lookup(data.states[:t][::-1]), []).append(t)
+    total = 0.0
+    for u in sorted(by_leaf, reverse=True):
+        t, block = np.array(by_leaf[u]), tree.block(u)
+        eta = np.tile(block.alpha, (t.size, 1))
+        for lag in range(1, block.h + 1):
+            eta += data.covariates[t - lag] @ block.beta[:, lag - 1, :].T
+        z = np.concatenate([np.zeros((t.size, 1)), eta], axis=1)
+        mx = z.max(axis=1)
+        norm = mx + np.log(np.exp(z - mx[:, np.newaxis]).sum(axis=1))
+        total += float((z[np.arange(t.size), data.states[t]] - norm).sum())
+    return total
+
+
+def random_unbalanced_tree(rng, p, d, max_depth=4):
+    """Complete tree whose branches stop at random depths, with random
+    coefficients and a random lag count (at most the depth) on each leaf."""
+    nodes = {}
+    level = [()]
+    while level:
+        u = level.pop()
+        if len(u) < max_depth and (u == () or rng.random() < 0.5):
+            nodes[u] = None
+            level.extend(u + (w,) for w in range(p))
+            continue
+        h = int(rng.integers(0, len(u) + 1)) if d else 0
+        nodes[u] = ParamBlock(alpha=rng.normal(size=p - 1), beta=rng.normal(size=(p - 1, h, d)))
+    return ContextTree(p=p, d=d, nodes=nodes)
 
 
 @pytest.fixture(scope="session")

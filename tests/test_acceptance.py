@@ -27,7 +27,7 @@ from vlmcx.glm import (
 )
 from vlmcx.stats import chi2_cdf, chi2_quantile
 
-from conftest import BASE_SEED
+from conftest import BASE_SEED, random_unbalanced_tree
 
 
 def rate(per_run, key="identical_tau"):
@@ -279,22 +279,6 @@ def test_criterion_8_likelihood_oracle():
     print(f"criterion 8: worst |loglik - oracle| {worst:.2e} over {cases} cases (<= 1e-10)")
     assert cases == 20
     assert worst <= 1e-10
-
-
-def random_unbalanced_tree(rng, p, d, max_depth=4):
-    """Complete tree whose branches stop at random depths, with random
-    coefficients and a random lag count (at most the depth) on each leaf."""
-    nodes = {}
-    level = [()]
-    while level:
-        u = level.pop()
-        if len(u) < max_depth and (u == () or rng.random() < 0.5):
-            nodes[u] = None
-            level.extend(u + (w,) for w in range(p))
-            continue
-        h = int(rng.integers(0, len(u) + 1)) if d else 0
-        nodes[u] = ParamBlock(alpha=rng.normal(size=p - 1), beta=rng.normal(size=(p - 1, h, d)))
-    return ContextTree(p=p, d=d, nodes=nodes)
 
 
 @pytest.mark.parametrize("p", [2, 3])

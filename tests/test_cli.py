@@ -269,6 +269,21 @@ class TestExitCodes:
         assert main(["fit", "--data", csv_path, "--ingest", spec]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, shown", [
+        ("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"), ("1e30", "1e+30"),
+        ("9223372036854775808", "9.223372036854776e+18"),
+    ])
+    def test_non_finite_or_huge_target_exits_three(self, tmp_path, capsys, cell, shown):
+        # inf and cells past int64 pass the integer check, and their cast to
+        # int64 warns and gives a negative state
+        csv_path = write(tmp_path, "five.csv",
+                         f"y,x1\n0,0.1\n1,0.2\n{cell},0.3\n0,0.4\n1,0.5\n")
+        spec = write(tmp_path, "spec.json",
+                     json.dumps({"target": {"column": "y"}, "covariates": [{"column": "x1"}]}))
+        assert main(["fit", "--data", csv_path, "--ingest", spec]) == 3
+        err = capsys.readouterr().err
+        assert f"target column 'y' has a non-finite or out-of-range value {shown}" in err
+
     def test_bad_history_exits_three(self, capsys):
         assert main(["predict", "--model", "model1", "--history", "a,b"]) == 3
         capsys.readouterr()

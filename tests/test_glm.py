@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_fit_leaf
+from conftest import (
+    random_unbalanced_tree,
+    reference_fit_leaf,
+    reference_information,
+    reference_link,
+    reference_log_likelihood,
+    reference_score,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -486,8 +493,11 @@ def outcome(fn, design, h=None, **kw):
 @st.composite
 def newton_cases(draw):
     """A design, a lag count and a start: random or separated responses,
-    covariates from tiny to large, cold, warm or far past SEPARATION_BOUND."""
-    p, d = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    covariates from tiny to large, cold, warm or far past SEPARATION_BOUND.
+    p reaches 8 and 9, where numpy's sum of a row of p states switches from
+    adding one by one to its unrolled pairwise order."""
+    p = draw(st.sampled_from([2, 3, 4, 8, 9]))
+    d = draw(st.sampled_from([1, 2]))
     h = draw(st.integers(0, 2))
     m = draw(st.integers(3, 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -574,6 +584,38 @@ class TestLeanNewton:
         values[at] = math.nan
         assert glm._within_tolerance(values, math.inf) is False
         assert glm._past_separation_bound(values) is False
+
+
+class TestStateMajorKernel:
+    """The multinomial kernel stores its predictors state-major, (p, m); its
+    score and information, and the sequence likelihood, equal the row-major
+    oracles byte for byte."""
+
+    @pytest.mark.parametrize("p", [3, 4, 9])
+    def test_gradient_and_hessian_equal_the_row_major_oracle(self, p):
+        rng = np.random.default_rng(p)
+        for scale in (1e-3, 0.3, 3.0, 40.0):
+            for m in (1, 7, 48, 151):
+                design = random_design(rng, m=m, h=2, d=2, p=p)
+                params = rng.normal(size=(p - 1) * design.n_cols) * scale
+                with np.errstate(all="ignore"):
+                    _, P = reference_link(design.X, design.y, p, params)
+                    want_g = reference_score(design.X, design.y, P)
+                    want_h = -reference_information(design.X, P)
+                    assert gradient(design, params).tobytes() == want_g.tobytes()
+                    assert hessian(design, params).tobytes() == want_h.tobytes()
+
+    @pytest.mark.parametrize("p, max_depth", [(2, 4), (3, 3), (9, 2)])
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_log_likelihood_equals_the_row_major_oracle(self, p, max_depth, d):
+        rng = np.random.default_rng(10 * p + d)
+        for _ in range(3):
+            tree = random_unbalanced_tree(rng, p, d, max_depth)
+            n = int(rng.integers(300, 400))
+            data = Dataset(states=rng.integers(0, p, size=n), covariates=rng.normal(size=(n, d)) * 3)
+            for horizon in (tree.order, tree.order + 2):
+                got = log_likelihood(tree, data, horizon=horizon)
+                assert got == reference_log_likelihood(tree, data, horizon)
 
 
 class TestNewtonSolve:
