@@ -194,23 +194,24 @@ class _Multinomial(_Kernel):
         return np.matmul(self.Xt, (self.onehot - P)[:, :, np.newaxis]).ravel()
 
     def information(self, P: np.ndarray) -> np.ndarray:
-        (J, K, delta, off), k, q = self.pairs, self.k, self.X.shape[1]
+        (J, K, delta), q = self.pairs, self.X.shape[1]
         W = P[J] * (delta - P[K])
         # one gemm per (j, l) block, stacked: (X * w[:, None]).T @ X each
         B = np.matmul((self.X * W[:, :, np.newaxis]).transpose(0, 2, 1), self.X)
-        A = np.empty((k, k, q, q))
-        A[J, K] = B
-        A[K[off], J[off]] = B[off].transpose(0, 2, 1)
-        return A.transpose(0, 2, 1, 3).reshape(k * q, k * q)
+        A = np.empty((self.k * q, self.k * q))
+        for block, j, l in zip(B, J.tolist(), K.tolist()):
+            A[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
+            if l != j:
+                A[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
+        return A
 
 
 @functools.cache
-def _target_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The target pairs (j, l), j <= l, of the information's upper blocks;
-    the Kronecker delta of each as a column, and which pairs are off the
-    diagonal."""
+def _target_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The target pairs (j, l), j <= l, of the information's upper blocks,
+    and the Kronecker delta of each as a column."""
     J, K = np.triu_indices(k)
-    return J, K, (J == K).astype(float)[:, np.newaxis], J != K
+    return J, K, (J == K).astype(float)[:, np.newaxis]
 
 
 def _kernel(design: LeafDesign) -> _Kernel:
