@@ -135,7 +135,15 @@ class LeafDiagnostics:
     iterations: int
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "context": list(self.context)}
+        return {
+            "context": list(self.context),
+            "n_obs": self.n_obs,
+            "h": self.h,
+            "loglik": self.loglik,
+            "converged": self.converged,
+            "separated": self.separated,
+            "iterations": self.iterations,
+        }
 
 
 @dataclass
@@ -157,7 +165,7 @@ class FitReport:
 
     def to_dict(self) -> dict:
         return {
-            "model": json.loads(self.tree.serialize()),
+            "model": self.tree.to_dict(),
             "criteria": {
                 "loglik": self.loglik,
                 "aic": self.aic,

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -81,11 +82,15 @@ class ParamBlock:
             raise MalformedModel(
                 f"beta has {beta.shape[0]} target rows, alpha has {alpha.shape[0]}"
             )
-        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        # the checks read a handful of entries, so they run on Python floats;
+        # lag t of every target is lags[t * width : (t + 1) * width]
+        lags = beta.transpose(1, 0, 2).ravel().tolist()
+        if not (all(map(math.isfinite, alpha.tolist())) and all(map(math.isfinite, lags))):
             raise MalformedModel("coefficients must be finite")
-        while beta.shape[1] > 0 and not beta[:, -1, :].any():
-            beta = beta[:, :-1, :]
-        beta = beta.copy()
+        width, h = beta.shape[0] * beta.shape[2], beta.shape[1]
+        while h > 0 and not any(lags[(h - 1) * width : h * width]):  # -0.0 is zero
+            h -= 1
+        beta = beta[:, :h, :].copy()
         alpha.setflags(write=False)
         beta.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -286,11 +291,9 @@ class ContextTree:
 
     # -- serialization -----------------------------------------------------
 
-    def serialize(self) -> str:
-        """Canonical JSON: leaves sorted lexicographically, compact separators.
-
-        Serializing equal trees yields byte-identical text.
-        """
+    def to_dict(self) -> dict:
+        """The model as plain lists and floats, leaves sorted lexicographically:
+        what :meth:`serialize` writes and a fit report embeds."""
         leaves = []
         for u in self.leaves():
             block = self.nodes[u]
@@ -303,8 +306,14 @@ class ContextTree:
                     "beta": [[[float(v) for v in row] for row in mat] for mat in block.beta],
                 }
             )
-        payload = {"p": self.p, "d": self.d, "leaves": leaves}
-        return json.dumps(payload, separators=(",", ":"))
+        return {"p": self.p, "d": self.d, "leaves": leaves}
+
+    def serialize(self) -> str:
+        """Canonical JSON of :meth:`to_dict`, compact separators.
+
+        Serializing equal trees yields byte-identical text.
+        """
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def parse(cls, text: str) -> "ContextTree":

@@ -25,6 +25,16 @@ probabilities, and the (p, t) predictors of each leaf in
 ufuncs, except the sum of exponentials, which is taken over a row-major
 copy so that it adds in numpy's row order (pairwise from 8 states on) and
 every result keeps the bits of the row-major form.
+
+The multinomial information is computed as one gemm per upper (j, l) block
+of targets, stacked, and assembled by a single gather: an index cached per
+(number of targets, columns) maps each entry of the (k q, k q) matrix to its
+place in the stacked blocks, transposed below the block diagonal.  The
+gather copies values, so the matrix has the bytes of a block-by-block
+assembly.  Sums and maxima call ``np.add.reduce`` and ``np.maximum.reduce``
+directly, the same reductions as ``ndarray.sum`` and ``ndarray.max``
+without their Python wrappers, and checks on a handful of entries run on
+Python floats.
 """
 
 from __future__ import annotations
@@ -125,9 +135,9 @@ class _Kernel:
         """Newton step ``A⁻¹ g`` for the information ``A``; a singular or
         non-finite solve is retried once with ``RIDGE`` on the diagonal."""
         step = _solve1(A, g, signature="dd->d")
-        if not np.isfinite(step).all():
+        if not all(map(math.isfinite, step.tolist())):
             step = _solve1(A + RIDGE * np.eye(A.shape[0]), g, signature="dd->d")
-            if not np.isfinite(step).all():
+            if not all(map(math.isfinite, step.tolist())):
                 raise NotConverged(0, "singular Hessian even after ridge")
         return step
 
@@ -142,7 +152,7 @@ class _Logistic(_Kernel):
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         z = self.X @ theta
-        return float(self.y @ z - np.logaddexp(0.0, z).sum()), z
+        return float(self.y @ z - np.add.reduce(np.logaddexp(0.0, z))), z
 
     @staticmethod
     def probabilities(z: np.ndarray) -> np.ndarray:
@@ -177,13 +187,14 @@ class _Multinomial(_Kernel):
         # each time point's observed state in the flattened (p, m) log-probabilities
         self.pick = y * m + np.arange(m)
         self.pairs = _target_pairs(self.k)
+        self.layout = _information_layout(self.k, X.shape[1])
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         L = self.L
         L[1:] = (self.X @ theta.reshape(self.k, -1).T).T
-        mx = L.max(axis=0)
-        LP = L - (mx + np.log(np.exp(L - mx).T.copy().sum(axis=1)))
-        return float(LP.take(self.pick).sum()), LP
+        mx = np.maximum.reduce(L, axis=0)
+        LP = L - (mx + np.log(np.add.reduce(np.exp(L - mx).T.copy(), axis=1)))
+        return float(np.add.reduce(LP.take(self.pick))), LP
 
     @staticmethod
     def probabilities(LP: np.ndarray) -> np.ndarray:
@@ -194,16 +205,11 @@ class _Multinomial(_Kernel):
         return np.matmul(self.Xt, (self.onehot - P)[:, :, np.newaxis]).ravel()
 
     def information(self, P: np.ndarray) -> np.ndarray:
-        (J, K, delta), q = self.pairs, self.X.shape[1]
+        J, K, delta = self.pairs
         W = P[J] * (delta - P[K])
         # one gemm per (j, l) block, stacked: (X * w[:, None]).T @ X each
         B = np.matmul((self.X * W[:, :, np.newaxis]).transpose(0, 2, 1), self.X)
-        A = np.empty((self.k * q, self.k * q))
-        for block, j, l in zip(B, J.tolist(), K.tolist()):
-            A[j * q : (j + 1) * q, l * q : (l + 1) * q] = block
-            if l != j:
-                A[l * q : (l + 1) * q, j * q : (j + 1) * q] = block.T
-        return A
+        return B.take(self.layout)
 
 
 @functools.cache
@@ -214,10 +220,26 @@ def _target_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return J, K, (J == K).astype(float)[:, np.newaxis]
 
 
-def _kernel(design: LeafDesign) -> _Kernel:
-    if design.p == 2:
-        return _Logistic(design.X, design.y)
-    return _Multinomial(design.X, design.y, design.p)
+@functools.cache
+def _information_layout(k: int, q: int) -> np.ndarray:
+    """Where each entry of the (k q, k q) information sits in the flattened
+    stack B of its upper (q, q) blocks, in ``_target_pairs`` order: entry
+    (j q + a, l q + b) is B[(j, l), a, b] for j <= l and B[(l, j), b, a]
+    below the block diagonal.  A diagonal block is taken as computed, so
+    the information keeps the bytes of the block-by-block assembly."""
+    J, K, _ = _target_pairs(k)
+    pair = np.empty((k, k), dtype=np.intp)
+    pair[J, K] = pair[K, J] = np.arange(J.size)
+    block, a = np.divmod(np.arange(k * q), q)
+    upper = block[:, np.newaxis] <= block
+    within = np.where(upper, a[:, np.newaxis] * q + a, a * q + a[:, np.newaxis])
+    layout = pair[block[:, np.newaxis], block] * (q * q) + within
+    layout.setflags(write=False)
+    return layout
+
+
+def _kernel(X: np.ndarray, y: np.ndarray, p: int) -> _Kernel:
+    return _Logistic(X, y) if p == 2 else _Multinomial(X, y, p)
 
 
 def _flat(design: LeafDesign, params) -> np.ndarray:
@@ -225,7 +247,7 @@ def _flat(design: LeafDesign, params) -> np.ndarray:
 
 
 def _fitted(design: LeafDesign, params) -> tuple[_Kernel, np.ndarray]:
-    kernel = _kernel(design)
+    kernel = _kernel(design.X, design.y, design.p)
     return kernel, kernel.probabilities(kernel.evaluate(_flat(design, params))[1])
 
 
@@ -244,7 +266,7 @@ def hessian(design: LeafDesign, params: np.ndarray) -> np.ndarray:
 def design_loglik(design: LeafDesign, block: ParamBlock) -> float:
     """Log-likelihood of the design rows under ``block``."""
     theta = _theta_from_block(block, design.h, design.d)
-    return _kernel(design).evaluate(theta.ravel())[0]
+    return _kernel(design.X, design.y, design.p).evaluate(theta.ravel())[0]
 
 
 # -- coefficient block <-> flat parameter matrix -----------------------------
@@ -453,14 +475,18 @@ def fit_leaf(
     """
     if design.m == 0:
         raise DataError(f"no transitions assigned to {context_label(design.context)}")
+    X = design.X
     if h is None:
         h = design.h
-    sub = design if h == design.h else design.truncated(h)
-    kernel = _kernel(sub)
+    elif h != design.h:
+        if not 0 <= h <= design.h:
+            raise ValueError(f"h={h} outside [0, {design.h}]")
+        X = X[:, : 1 + h * design.d]
+    kernel = _kernel(X, design.y, design.p)
     if start is not None:
         theta = _theta_from_block(start, h, design.d).ravel()
     else:
-        theta = np.zeros((design.p - 1) * sub.n_cols)
+        theta = np.zeros((design.p - 1) * X.shape[1])
     iterations = 0
     separated = False
     with np.errstate(all="ignore"):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -250,6 +251,21 @@ class TestFit:
         assert doc["criteria"]["bic"] == rep.bic
         assert len(doc["leaves"]) == len(rep.tree.leaves())
         assert doc["model"] == json.loads(rep.tree.serialize())
+
+    def test_report_bytes_equal_the_json_round_trip(self, model2_data):
+        # the report embeds the tree's dict and writes each leaf's fields
+        # directly; its text is that of the round trip through the model's
+        # JSON and dataclasses.asdict
+        rep = fit(model2_data)
+        round_trip = {
+            **rep.to_dict(),
+            "model": json.loads(rep.tree.serialize()),
+            "leaves": [
+                {**dataclasses.asdict(ls), "context": list(ls.context)} for ls in rep.leaf_stats
+            ],
+        }
+        for indent in (2, None):
+            assert rep.to_json(indent) == json.dumps(round_trip, indent=indent)
 
     def test_audit_nan_serializes_as_null(self):
         rec = AuditRecord(

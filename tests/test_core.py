@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,33 @@ class TestParamBlock:
             b.alpha[0] = 9.0
         with pytest.raises(ValueError):
             b.beta[0, 0, 0] = 9.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 3), st.integers(0, 4), st.integers(0, 3)),
+        data=st.data(),
+    )
+    def test_checks_match_the_numpy_rules(self, shape, data):
+        # mostly zeros, so trailing lag rows of ±0.0 are common
+        value = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 5e-324, math.nan, math.inf, -math.inf])
+        k, h, d = shape
+        alpha = np.array(data.draw(st.lists(value, min_size=k, max_size=k)))
+        beta = np.array(data.draw(st.lists(value, min_size=k * h * d, max_size=k * h * d)))
+        beta = beta.reshape(k, h, d)
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            with pytest.raises(MalformedModel, match="^coefficients must be finite$"):
+                ParamBlock(alpha=alpha, beta=beta)
+            return
+        want = beta
+        while want.shape[1] > 0 and not want[:, -1, :].any():
+            want = want[:, :-1, :]
+        block = ParamBlock(alpha=alpha, beta=beta)
+        assert block.alpha.tobytes() == alpha.tobytes()
+        assert block.beta.shape == want.shape
+        assert block.beta.tobytes() == want.tobytes()
+        for stored, source in ((block.alpha, alpha), (block.beta, beta)):
+            assert not stored.flags.writeable
+            assert not np.shares_memory(stored, source)
 
     def test_truncated(self):
         b = ParamBlock.binary(0.0, [1.0, 2.0, 3.0])
@@ -240,6 +268,31 @@ class TestSerialization:
         t = ContextTree(p=2, d=1, nodes={ROOT: None, (0,): None, (1,): leaf_block()})
         with pytest.raises(MalformedModel):
             t.serialize()
+
+    def test_serialized_bytes(self):
+        multi = ContextTree(
+            p=3,
+            d=2,
+            nodes={
+                ROOT: None,
+                (0,): ParamBlock(alpha=[-0.0, 1e-300], beta=[[[0.1, -0.0]], [[2.5e10, 0.0]]]),
+                (1,): ParamBlock(alpha=[0.5, -1 / 3], beta=np.zeros((2, 0, 2))),
+                (2,): ParamBlock(alpha=[1.0, 2.0], beta=np.zeros((2, 1, 2))),
+            },
+        )
+        assert small_tree().serialize() == (
+            '{"p":2,"d":1,"leaves":[{"context":[0,0],"alpha":[0.1],"beta":[[[2.0],[0.5]]]},'
+            '{"context":[0,1],"alpha":[0.25],"beta":[[[-1.0]]]},'
+            '{"context":[1],"alpha":[-1.0],"beta":[[]]}]}'
+        )
+        assert multi.serialize() == (
+            '{"p":3,"d":2,"leaves":[{"context":[0],"alpha":[-0.0,1e-300],'
+            '"beta":[[[0.1,-0.0]],[[25000000000.0,0.0]]]},'
+            '{"context":[1],"alpha":[0.5,-0.3333333333333333],"beta":[[],[]]},'
+            '{"context":[2],"alpha":[1.0,2.0],"beta":[[],[]]}]}'
+        )
+        for tree in (small_tree(), multi):
+            assert json.loads(tree.serialize()) == tree.to_dict()
 
     @pytest.mark.parametrize(
         "mutate",

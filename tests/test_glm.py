@@ -592,11 +592,14 @@ class TestStateMajorKernel:
     oracles byte for byte."""
 
     @pytest.mark.parametrize("p", [3, 4, 9])
-    def test_gradient_and_hessian_equal_the_row_major_oracle(self, p):
+    @pytest.mark.parametrize("h", [0, 2, 6])  # q = 1, 5 and 13 columns with d = 2
+    def test_gradient_and_hessian_equal_the_row_major_oracle(self, p, h):
+        # the information is gathered from its stacked upper blocks; the
+        # oracle assembles them one by one, mirroring each off-diagonal block
         rng = np.random.default_rng(p)
         for scale in (1e-3, 0.3, 3.0, 40.0):
             for m in (1, 7, 48, 151):
-                design = random_design(rng, m=m, h=2, d=2, p=p)
+                design = random_design(rng, m=m, h=h, d=2, p=p)
                 params = rng.normal(size=(p - 1) * design.n_cols) * scale
                 with np.errstate(all="ignore"):
                     _, P = reference_link(design.X, design.y, p, params)
@@ -644,6 +647,37 @@ class TestNewtonSolve:
         assert len(solves) == 2 * res.iterations
         assert res.loglik == pytest.approx(without.loglik, rel=0, abs=1e-12)
         np.testing.assert_allclose(res.params.alpha, without.params.alpha, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_finite_solution_takes_the_ridge_once(self, bad, at, monkeypatch):
+        rng = np.random.default_rng(7)
+        M = rng.normal(size=(3, 3))
+        A, g = M @ M.T + 3 * np.eye(3), rng.normal(size=3)
+        solve1, calls = glm._solve1, []
+
+        def first_fails(A, g, **kw):
+            calls.append(A.copy())
+            step = solve1(A, g, **kw)
+            if len(calls) == 1:
+                step[at] = bad
+            return step
+
+        monkeypatch.setattr(glm, "_solve1", first_fails)
+        step = glm._Kernel.solve(A, g)
+        assert len(calls) == 2
+        ridged = A + glm.RIDGE * np.eye(3)
+        assert calls[1].tobytes() == ridged.tobytes()
+        assert step.tobytes() == np.linalg.solve(ridged, g).tobytes()
+
+        def always_fails(A, g, **kw):
+            step = solve1(A, g, **kw)
+            step[at] = bad
+            return step
+
+        monkeypatch.setattr(glm, "_solve1", always_fails)
+        with pytest.raises(NotConverged, match="^singular Hessian even after ridge$"):
+            glm._Kernel.solve(A, g)
 
     def test_solve_matches_numpy_bit_for_bit(self):
         # the step is solved by the LAPACK gufunc behind np.linalg.solve,
