@@ -36,6 +36,7 @@ from .core import (
     HistoryIndex,
     ParamBlock,
     _integer,
+    _with_ancestors,
     context_label,
 )
 from .errors import (
@@ -63,7 +64,8 @@ class FitConfig:
 
     ``s`` scales the per-parameter count rule deciding how deep the initial
     tree grows; ``gamma`` is the test level for pruning (larger values prune
-    more).  ``bonferroni`` divides gamma by the number of planned tests in
+    less: a lag is dropped, and siblings merged, only when the p-value clears
+    it).  ``bonferroni`` divides gamma by the number of planned tests in
     each pass.  ``ic_include_intercepts`` switches the information-criterion
     parameter count from covariate coefficients only to all coefficients.
     """
@@ -204,7 +206,8 @@ def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Contex
     A sibling group at depth k enters only when every member occurs at least
     ``s * (1 + d*k)`` times, so each candidate regression keeps ``s``
     observations per parameter.  Each level's counts come from the index at
-    once.
+    once.  A state of ``0 .. p-1`` that never occurs fails before any count,
+    since no sibling group can then clear the rule.
     """
     data = index.data
     n, d = data.n, data.d
@@ -212,6 +215,14 @@ def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Contex
         raise DataTooShort(
             f"n={n} cannot support depth 1 with s={s}, d={d} "
             f"(need more than {s * (1 + d)} observations)"
+        )
+    alphabet = index._alphabet  # sorted distinct labels, all below p
+    if alphabet.size < p:
+        unused = int(np.count_nonzero(alphabet == np.arange(alphabet.size)))
+        raise DataTooShort(
+            f"state {unused} never occurs in the data (the largest label is "
+            f"{int(alphabet[-1])}), so the depth-1 sibling group cannot reach "
+            f"{s * (1 + d)} occurrences each"
         )
     cap_eff = min(cap, int(math.floor(math.log2(n))))
     nodes: set[Context] = {()}
@@ -225,12 +236,6 @@ def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Contex
             break
         level = next_level
     if len(nodes) == 1:
-        unused = np.flatnonzero(np.bincount(data.states, minlength=p) == 0)
-        if unused.size:
-            raise DataTooShort(
-                f"state {int(unused[0])} never occurs in the data, so the depth-1 "
-                f"sibling group cannot reach {s * (1 + d)} occurrences each"
-            )
         raise DataTooShort(
             f"no depth-1 sibling group reaches {s * (1 + d)} occurrences each"
         )
@@ -249,7 +254,12 @@ class _LeafState:
 
 
 class _Engine:
-    """Mutable fitting state: node set, per-leaf rows, current blocks.
+    """Mutable fitting state: the current leaves, each with its rows and fit.
+
+    The leaves are the engine's only tree state.  The tree is the leaves plus
+    their ancestors: growth adds whole sibling groups and a merge removes a
+    whole group, so a parent's children are all leaves exactly when its
+    group at their depth is complete.
 
     Rows, counts and designs come from one ``HistoryIndex`` of the data,
     built here unless ``index`` shares one.  A leaf's rows are its window
@@ -279,10 +289,9 @@ class _Engine:
         self.p = _infer_p(data, p)
         self.d = data.d
         self.index = HistoryIndex(data) if index is None else index
-        self.nodes = set(structure) if structure is not None else _grow_structure(
-            self.index, self.p, config.s, config.max_order_cap
-        )
-        self.order = max(len(u) for u in self.nodes)
+        if structure is None:
+            structure = _grow_structure(self.index, self.p, config.s, config.max_order_cap)
+        self.order = max(len(u) for u in structure)
         self.horizon = self.order if horizon is None else _integer("horizon", horizon, 0)
         if self.horizon < self.order:
             raise DataError(f"horizon {self.horizon} below tree order {self.order}")
@@ -293,16 +302,17 @@ class _Engine:
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
         self._fit_cache = {} if fit_cache is None else fit_cache
-        self._fit_initial(seed)
+        self._fit_initial(structure, seed)
 
     # -- setup -------------------------------------------------------------
 
-    def _fit_initial(self, seed: dict[Context, ParamBlock] | None) -> None:
-        """Fit every leaf of the structure with all its lags from scratch, or
+    def _fit_initial(self, structure: set[Context],
+                     seed: dict[Context, ParamBlock] | None) -> None:
+        """Fit every leaf of ``structure`` with all its lags from scratch, or
         each seeded leaf at its block's lag count from the block."""
         if seed is None:
-            structure = ContextTree(p=self.p, d=self.d, nodes=dict.fromkeys(self.nodes))
-            starts = dict.fromkeys(structure.leaves())
+            tree = ContextTree(p=self.p, d=self.d, nodes=dict.fromkeys(structure))
+            starts = dict.fromkeys(tree.leaves())
         else:
             starts = seed
         rows = {u: self.index.rows(u, self.horizon) for u in sorted(starts)}
@@ -380,7 +390,6 @@ class _Engine:
     def clone(self, config: FitConfig) -> "_Engine":
         eng = copy.copy(self)
         eng.config = config
-        eng.nodes = set(self.nodes)
         eng.leaves = dict(self.leaves)
         eng.audit = []
         eng.notes = list(self.notes)
@@ -392,9 +401,6 @@ class _Engine:
         for depth in range(self.order, 0, -1):
             self._run_pass(depth)
 
-    def children_of(self, u: Context) -> list[Context]:
-        return [u + (w,) for w in range(self.p) if u + (w,) in self.nodes]
-
     def _run_pass(self, depth: int) -> None:
         leaves_at = sorted(u for u in self.leaves if len(u) == depth)
         if not leaves_at:
@@ -402,16 +408,10 @@ class _Engine:
         groups: dict[Context, list[Context]] = {}
         for u in leaves_at:
             groups.setdefault(u[:-1], []).append(u)
-        candidate_parents = [
-            parent
-            for parent in sorted(groups)
-            if len(self.children_of(parent)) == self.p
-            and all(c in self.leaves for c in self.children_of(parent))
-        ]
         gamma_eff = self.config.gamma
         if self.config.bonferroni:
             n_tests = sum(1 for u in leaves_at if self.leaves[u].fit.params.h > 0)
-            n_tests += len(candidate_parents)
+            n_tests += sum(1 for children in groups.values() if len(children) == self.p)
             if n_tests > 0:
                 gamma_eff = self.config.gamma / n_tests
 
@@ -422,17 +422,22 @@ class _Engine:
                 continue
             not_rejected[u] = self._lag_drop_test(u, gamma_eff, "deepest_lag")
 
-        for parent in sorted(groups):
-            children = self.children_of(parent)
-            mergeable = (
-                parent in set(candidate_parents)
-                and all(not_rejected.get(c, False) for c in children)
-            )
+        for parent, children in sorted(groups.items()):
+            mergeable = len(children) == self.p and all(not_rejected[c] for c in children)
             if mergeable and self._merge_test(parent, children, gamma_eff):
                 continue
             for c in children:
-                if c in self.leaves and not_rejected.get(c, False):
+                if not_rejected[c]:
                     self._lag_sweep(c, gamma_eff)
+
+    def _lrt(self, ll_null: float, ll_alt: float, df: int, trouble: str) -> LrtResult:
+        """``lrt`` of the nested pair; a null that beats the alternative is
+        optimizer trouble, noted as ``trouble``, and tests as p = 1."""
+        try:
+            return lrt(ll_null, ll_alt, df)
+        except NestingViolation:
+            self.notes.append(trouble)
+            return LrtResult(0.0, df, 1.0)
 
     def _lag_drop_test(self, u: Context, gamma_eff: float, kind: str) -> bool:
         """Test the deepest stored lag of leaf ``u``; install the reduced fit
@@ -454,14 +459,11 @@ class _Engine:
             test = LrtResult(float("nan"), df, float("nan"))
             dropped = True
         else:
-            try:
-                test = lrt(res.loglik, st.fit.loglik, df)
-            except NestingViolation:
-                self.notes.append(
-                    f"reduced fit at {context_label(u)} (lag {h}) beat the larger model; "
-                    f"optimizer trouble, dropping the lag"
-                )
-                test = LrtResult(0.0, df, 1.0)
+            test = self._lrt(
+                res.loglik, st.fit.loglik, df,
+                f"reduced fit at {context_label(u)} (lag {h}) beat the larger model; "
+                f"optimizer trouble, dropping the lag",
+            )
             dropped = test.p_value > gamma_eff
         if dropped:
             self.leaves[u] = _LeafState(st.rows, res)
@@ -492,14 +494,11 @@ class _Engine:
                 f"merge at {context_label(parent)} had no free parameters to test; skipping"
             )
             return False
-        try:
-            test = lrt(null_state.fit.loglik, ll_alt, df)
-        except NestingViolation:
-            self.notes.append(
-                f"children of {context_label(parent)} scored below their merge; "
-                f"optimizer trouble, merging"
-            )
-            test = LrtResult(0.0, df, 1.0)
+        test = self._lrt(
+            null_state.fit.loglik, ll_alt, df,
+            f"children of {context_label(parent)} scored below their merge; "
+            f"optimizer trouble, merging",
+        )
         merged = test.p_value >= gamma_eff
         self.audit.append(
             AuditRecord(
@@ -511,17 +510,14 @@ class _Engine:
         if merged:
             for c in children:
                 del self.leaves[c]
-                self.nodes.discard(c)
             self.leaves[parent] = null_state
         return merged
 
     # -- outputs -------------------------------------------------------------
 
     def final_tree(self) -> ContextTree:
-        nodes: dict[Context, ParamBlock | None] = {u: None for u in self.nodes}
-        for u, st in self.leaves.items():
-            nodes[u] = st.fit.params
-        return ContextTree(p=self.p, d=self.d, nodes=nodes)
+        leaves = {u: st.fit.params for u, st in self.leaves.items()}
+        return ContextTree(p=self.p, d=self.d, nodes=_with_ancestors(leaves))
 
     def report(self) -> FitReport:
         tree = self.final_tree()

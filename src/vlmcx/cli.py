@@ -101,7 +101,8 @@ def _transform(values: np.ndarray, how: str, column: str) -> tuple[np.ndarray, i
             f"log_return needs positive values; column {column!r} has "
             f"{values[bad[0]]!r} at data row {int(bad[0]) + 1}"
         )
-    return np.log(values[1:] / values[:-1]), 1
+    with np.errstate(all="ignore"):  # ingest names the values that come out non-finite
+        return np.log(values[1:] / values[:-1]), 1
 
 
 def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
@@ -109,7 +110,8 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
 
     Transformed columns stay aligned on their source rows; differencing
     transforms shorten the front, and every column is cut to the common
-    range.  The target column must come out as non-negative integers.
+    range.  The target column must come out as non-negative integers, and
+    every covariate column as finite values.
     """
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -163,6 +165,14 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
             f"target column {spec.target.column!r} must yield non-negative "
             f"integer states after its transform"
         )
+    for col in spec.covariates:
+        values = aligned(col.column)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(
+                f"covariate column {col.column!r} has a non-finite value "
+                f"{float(values[bad[0]])!r} at data row {start + int(bad[0]) + 1} after its transform"
+            )
     if spec.covariates:
         covariates = np.column_stack([aligned(c.column) for c in spec.covariates])
     else:

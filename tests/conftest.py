@@ -7,7 +7,9 @@ acceptance checks.  All of them are deterministic: run i uses BASE_SEED + i.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,15 @@ ACCEPT_BASE = FitConfig(ic_include_intercepts=True)
 
 def accept_grid() -> TuningGrid:
     return TuningGrid(base=ACCEPT_BASE)
+
+
+def tri_model():
+    """The benchmark's 3-state, 2-covariate generating tree."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tri_model()
 
 
 def context_rows(data, u, start, stop=None):

@@ -20,6 +20,7 @@ from vlmcx.algorithm import (
     sequential_beta_prune,
 )
 from vlmcx.algorithm import test_pastmost_beta as pastmost_beta_test
+from vlmcx.core import HistoryIndex
 from vlmcx.errors import (
     AllFitsFailed,
     ChildrenNotLeaves,
@@ -33,7 +34,7 @@ from vlmcx.errors import (
 from vlmcx.glm import LeafDesign, build_design, fit_leaf, log_likelihood
 from vlmcx.stats import lrt
 
-from conftest import context_rows, lagged_design
+from conftest import context_rows, lagged_design, tri_model
 
 
 def grow_oracle(data, p, s, cap):
@@ -164,6 +165,30 @@ class TestMaximalTree:
         data = Dataset(states=states, covariates=rng.normal(size=500))
         with pytest.raises(DataTooShort, match="state 1 never occurs in the data"):
             build_maximal_tree(data)
+
+    @pytest.mark.parametrize("entry", [build_maximal_tree, fit, select_tuning])
+    def test_stray_label_fails_before_growth(self, monkeypatch, entry):
+        # p = max label + 1, so a stray label makes p huge; the alphabet check
+        # must fail before any level's sibling counts loop over range(p)
+        rng = np.random.default_rng(5)
+        states = rng.integers(0, 2, size=2000)
+        covariates = rng.normal(size=2000)
+        calls = []
+        child_counts = HistoryIndex.child_counts
+
+        def spy(index, parents, p):
+            calls.append(p)
+            return child_counts(index, parents, p)
+
+        monkeypatch.setattr(HistoryIndex, "child_counts", spy)
+        build_maximal_tree(Dataset(states=states, covariates=covariates))
+        assert calls  # the spy sees growth on clean data
+        calls.clear()
+        states[1000] = 10**6
+        with pytest.raises((DataTooShort, AllFitsFailed),
+                           match=r"state 2 never occurs in the data \(the largest label is 1000000\)"):
+            entry(Dataset(states=states, covariates=covariates))
+        assert calls == []
 
 
 class TestFit:
@@ -738,6 +763,52 @@ class TestSelectTuning:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestBonferroni:
+    @staticmethod
+    def replay_levels(data, config):
+        """Replay the audit on the maximal tree and check each action against
+        the pass's Bonferroni level; returns the number of tests per pass."""
+        rep = fit(data, config)
+        tau_max = build_maximal_tree(data, config)
+        p = tau_max.p
+        leaves = {u: tau_max.block(u).h for u in tau_max.leaves()}
+        per_pass, depth, level = [], None, None
+        for rec in rep.audit:
+            if len(rec.contexts[0]) != depth:  # a new pass: count its planned tests
+                depth = len(rec.contexts[0])
+                at = [u for u in leaves if len(u) == depth]
+                complete = {
+                    u[:-1] for u in at if all(u[:-1] + (w,) in leaves for w in range(p))
+                }
+                n_tests = sum(1 for u in at if leaves[u] > 0) + len(complete)
+                per_pass.append(n_tests)
+                level = config.gamma / n_tests
+            if rec.test == "sibling_merge":
+                assert rec.action == ("merge" if rec.p_value >= level else "no_merge"), rec
+                if rec.action == "merge":
+                    for c in rec.contexts:
+                        del leaves[c]
+                    leaves[rec.contexts[0][:-1]] = depth - 1
+            else:
+                dropped = math.isnan(rec.p_value) or rec.p_value > level
+                assert rec.action == ("drop" if dropped else "keep"), rec
+                if dropped:
+                    leaves[rec.contexts[0]] = rec.lag - 1
+        assert leaves == {u: rep.tree.block(u).h for u in rep.tree.leaves()}
+        return per_pass
+
+    @pytest.mark.parametrize("spec", ["model2", "tri"])
+    @pytest.mark.parametrize("config", [
+        FitConfig(bonferroni=True),
+        FitConfig(bonferroni=True, s=5, gamma=1e-2),
+    ])
+    def test_actions_follow_the_per_pass_level(self, spec, config):
+        model = tri_model() if spec == "tri" else vlmcx.builtin_model(spec)
+        data = vlmcx.generate(model, 1000 if spec == "model2" else 3000, seed=1_000_000)
+        per_pass = self.replay_levels(data, config)
+        assert len(per_pass) > 1 and max(per_pass) > 1
 
 
 class TestGammaLimits:

@@ -284,6 +284,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"target column 'y' has a non-finite or out-of-range value {shown}" in err
 
+    @pytest.mark.parametrize("first, second, transform", [
+        ("1e-300", "1e300", "log_return"),  # the ratio 1e600 overflows to inf
+        ("0.1", "inf", "none"),
+    ])
+    def test_non_finite_covariate_names_its_column(self, tmp_path, capsys,
+                                                   first, second, transform):
+        csv_path = write(tmp_path, "five.csv",
+                         f"y,x1\n0,{first}\n1,{second}\n0,0.3\n1,0.4\n0,0.5\n")
+        spec = write(tmp_path, "spec.json", json.dumps(
+            {"target": {"column": "y"},
+             "covariates": [{"column": "x1", "transform": transform}]}))
+        assert main(["fit", "--data", csv_path, "--ingest", spec]) == 3
+        err = capsys.readouterr().err
+        assert "covariate column 'x1' has a non-finite value inf at data row 2" in err
+
     def test_bad_history_exits_three(self, capsys):
         assert main(["predict", "--model", "model1", "--history", "a,b"]) == 3
         capsys.readouterr()

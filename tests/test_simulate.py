@@ -1,8 +1,6 @@
 import bisect
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from vlmcx.simulate import (
     monte_carlo,
 )
 
-from conftest import BASE_SEED
+from conftest import BASE_SEED, tri_model
 
 
 def report_for(tree, p=2):
@@ -234,15 +232,6 @@ def reference_generate(spec, n, seed, burn_in=1000):
     return states[burn_in:], cov[burn_in:]
 
 
-def _tri_model():
-    """The benchmark's 3-state, 2-covariate generating tree."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.tri_model()
-
-
 def _root_only(alpha=0.3):
     """A tree of one leaf; the root has no lags to reach covariates with."""
     block = ParamBlock.binary(alpha, [0.0])
@@ -268,7 +257,7 @@ SPECS = {
     "model1": lambda: builtin_model("model1"),
     "model2": lambda: builtin_model("model2"),
     "model3": lambda: builtin_model("model3"),
-    "tri": _tri_model,
+    "tri": tri_model,
     "root_only": _root_only,
     "two_leaves": _two_leaves,
     "no_covariates": _no_covariates,
@@ -278,7 +267,7 @@ SPECS = {
 @pytest.fixture(scope="module")
 def fitted_tri_tree():
     """A generating tree of over 100 leaves: a fit to 10 000 steps of tri."""
-    report = vlmcx.fit(generate(_tri_model(), 10_000, seed=2_000_000))
+    report = vlmcx.fit(generate(tri_model(), 10_000, seed=2_000_000))
     assert len(report.tree.leaves()) >= 100
     return ModelSpec(tree=report.tree)
 
