@@ -218,6 +218,7 @@ def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Contex
         )
     alphabet = index._alphabet  # sorted distinct labels, all below p
     if alphabet.size < p:
+        # labels match their positions 0, 1, ... up to the first unused state
         unused = int(np.count_nonzero(alphabet == np.arange(alphabet.size)))
         raise DataTooShort(
             f"state {unused} never occurs in the data (the largest label is "

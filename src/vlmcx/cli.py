@@ -171,7 +171,8 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
         if bad.size:
             raise DataError(
                 f"covariate column {col.column!r} has a non-finite value "
-                f"{float(values[bad[0]])!r} at data row {start + int(bad[0]) + 1} after its transform"
+                f"{float(values[bad[0]])!r} at data row {start + int(bad[0]) + 1} "
+                f"after its transform"
             )
     if spec.covariates:
         covariates = np.column_stack([aligned(c.column) for c in spec.covariates])

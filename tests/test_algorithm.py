@@ -185,8 +185,8 @@ class TestMaximalTree:
         assert calls  # the spy sees growth on clean data
         calls.clear()
         states[1000] = 10**6
-        with pytest.raises((DataTooShort, AllFitsFailed),
-                           match=r"state 2 never occurs in the data \(the largest label is 1000000\)"):
+        message = r"state 2 never occurs in the data \(the largest label is 1000000\)"
+        with pytest.raises((DataTooShort, AllFitsFailed), match=message):
             entry(Dataset(states=states, covariates=covariates))
         assert calls == []
 
