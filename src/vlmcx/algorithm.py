@@ -24,7 +24,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -200,6 +200,21 @@ def _infer_p(data: Dataset, p: int | None) -> int:
     return p
 
 
+def _check_alphabet(index: HistoryIndex, p: int, threshold: int) -> None:
+    """``DataTooShort`` naming the first unused state of ``0 .. p-1`` and the
+    largest label, if any is unused: no depth-1 sibling group can then reach
+    ``threshold`` occurrences each."""
+    alphabet = index._alphabet  # sorted distinct labels, all below p
+    if alphabet.size < p:
+        # labels match their positions 0, 1, ... up to the first unused state
+        unused = int(np.count_nonzero(alphabet == np.arange(alphabet.size)))
+        raise DataTooShort(
+            f"state {unused} never occurs in the data (the largest label is "
+            f"{int(alphabet[-1])}), so the depth-1 sibling group cannot reach "
+            f"{threshold} occurrences each"
+        )
+
+
 def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Context]:
     """Deepest prefix-closed node set satisfying the sibling count rule.
 
@@ -216,15 +231,7 @@ def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Contex
             f"n={n} cannot support depth 1 with s={s}, d={d} "
             f"(need more than {s * (1 + d)} observations)"
         )
-    alphabet = index._alphabet  # sorted distinct labels, all below p
-    if alphabet.size < p:
-        # labels match their positions 0, 1, ... up to the first unused state
-        unused = int(np.count_nonzero(alphabet == np.arange(alphabet.size)))
-        raise DataTooShort(
-            f"state {unused} never occurs in the data (the largest label is "
-            f"{int(alphabet[-1])}), so the depth-1 sibling group cannot reach "
-            f"{s * (1 + d)} occurrences each"
-        )
+    _check_alphabet(index, p, s * (1 + d))
     cap_eff = min(cap, int(math.floor(math.log2(n))))
     nodes: set[Context] = {()}
     level: list[Context] = [()]
@@ -254,6 +261,22 @@ class _LeafState:
     fit: glm.MleResult
 
 
+@dataclass(frozen=True)
+class _Outcome:
+    """The gamma-free part of one lag-drop or merge test.
+
+    ``test`` is the LRT (None for a merge that frees no parameters),
+    ``state`` the leaf state a non-rejection installs and ``notes`` what
+    the test writes.  ``tested`` holds the states the outcome is keyed on,
+    so their ids stay unique while it lives.
+    """
+
+    tested: tuple[_LeafState, ...]
+    test: LrtResult | None
+    state: _LeafState
+    notes: tuple[str, ...]
+
+
 class _Engine:
     """Mutable fitting state: the current leaves, each with its rows and fit.
 
@@ -267,6 +290,12 @@ class _Engine:
     rows past the horizon, ascending; a merged parent's are its children's
     rows stacked in child order.  A design is gathered from the index, at
     the leaf's full depth, only when the fit cache misses.
+
+    A test's statistic, p-value, reduced or merged fit and notes do not
+    depend on gamma, so each runs once per engine and the clones that share
+    its leaf states: the outcome is memoized by the ids of the tested
+    states, which are immutable and shared between clones, and each engine
+    only compares its own level with the p-value.
 
     ``seed`` (internal) maps some leaves of a given ``structure`` to their
     blocks.  Such an engine holds only those leaves, each refitted at its
@@ -303,6 +332,7 @@ class _Engine:
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
         self._fit_cache = {} if fit_cache is None else fit_cache
+        self._outcomes: dict[tuple[int, ...], _Outcome] = {}  # shared by clones
         self._fit_initial(structure, seed)
 
     # -- setup -------------------------------------------------------------
@@ -326,7 +356,7 @@ class _Engine:
         for u, r in rows.items():
             block = starts[u]
             h = len(u) if block is None else block.h
-            self.leaves[u] = self._fit_state(u, r, h=h, start=block)
+            self.leaves[u] = self._fit_state(u, r, h, block, self.notes)
 
     def _design(self, u: Context, rows: np.ndarray) -> LeafDesign:
         return glm._design(self.index, u, rows, len(u), self.p)
@@ -358,31 +388,32 @@ class _Engine:
         return hit
 
     def _fit_state(self, u: Context, rows: np.ndarray, h: int,
-                   start: ParamBlock | None) -> _LeafState:
+                   start: ParamBlock | None, notes: list[str]) -> _LeafState:
         """Fit leaf ``u`` on ``rows``, else its intercept-only model, else hold
-        zeros (the null fit of a leaf without rows); a zero block reports 0 iterations."""
+        zeros (the null fit of a leaf without rows); a zero block reports 0
+        iterations.  What happened goes to ``notes``."""
         res = None
         if rows.size == 0:
-            self.notes.append(f"no transitions for {context_label(u)}; using a null fit")
+            notes.append(f"no transitions for {context_label(u)}; using a null fit")
         else:
             try:
                 res = self._fit(u, rows, h, start)
             except NotConverged:
                 try:
                     res = self._fit(u, rows, 0)
-                    self.notes.append(
+                    notes.append(
                         f"fit at {context_label(u)} with {h} lags did not "
                         f"converge; fell back to intercept only"
                     )
                 except NotConverged:
-                    self.notes.append(f"fit at {context_label(u)} failed entirely; using zeros")
+                    notes.append(f"fit at {context_label(u)} failed entirely; using zeros")
         if res is None:
             k = self.p - 1
             zeros = ParamBlock(alpha=np.zeros(k), beta=np.zeros((k, 0, max(self.d, 1))))
             res = glm.MleResult(zeros, design_loglik(self._design(u, rows), zeros), 0,
                                 converged=False, separated=False)
         elif res.separated:
-            self.notes.append(
+            notes.append(
                 f"separation at {context_label(u)}: "
                 f"a coefficient passed {glm.SEPARATION_BOUND} in magnitude"
             )
@@ -431,25 +462,55 @@ class _Engine:
                 if not_rejected[c]:
                     self._lag_sweep(c, gamma_eff)
 
-    def _lrt(self, ll_null: float, ll_alt: float, df: int, trouble: str) -> LrtResult:
+    def _lrt(self, ll_null: float, ll_alt: float, df: int, notes: list[str],
+             trouble: Callable[[], str]) -> LrtResult:
         """``lrt`` of the nested pair; a null that beats the alternative is
-        optimizer trouble, noted as ``trouble``, and tests as p = 1."""
+        optimizer trouble, noted as ``trouble()``, and tests as p = 1."""
         try:
             return lrt(ll_null, ll_alt, df)
         except NestingViolation:
-            self.notes.append(trouble)
+            notes.append(trouble())
             return LrtResult(0.0, df, 1.0)
+
+    def _outcome(self, tested: tuple[_LeafState, ...],
+                 run: Callable[[list[str]], tuple[LrtResult | None, _LeafState]]) -> _Outcome:
+        """The memoized outcome of the test on ``tested``, computed by
+        ``run(notes)`` on a miss; its notes are appended to this engine's."""
+        key = tuple(map(id, tested))
+        out = self._outcomes.get(key)
+        if out is None:
+            notes: list[str] = []
+            out = self._outcomes[key] = _Outcome(tested, *run(notes), tuple(notes))
+        self.notes.extend(out.notes)
+        return out
 
     def _lag_drop_test(self, u: Context, gamma_eff: float, kind: str) -> bool:
         """Test the deepest stored lag of leaf ``u``; install the reduced fit
         when the test does not reject.  Returns True on a drop."""
         st = self.leaves[u]
+        out = self._outcome((st,), lambda notes: self._lag_drop_outcome(u, st, notes))
+        test = out.test
+        dropped = not test.p_value <= gamma_eff  # a NaN test drops
+        if dropped:
+            self.leaves[u] = out.state
+        self.audit.append(
+            AuditRecord(
+                kind, (u,), st.fit.params.h, test.statistic, test.df, test.p_value,
+                "drop" if dropped else "keep",
+            )
+        )
+        return dropped
+
+    def _lag_drop_outcome(self, u: Context, st: _LeafState,
+                          notes: list[str]) -> tuple[LrtResult, _LeafState]:
+        """The test of leaf state ``st``'s deepest lag and its reduced state.
+        A failed constrained fit truncates the block and tests as NaN."""
         h = st.fit.params.h
         df = (self.p - 1) * self.d
         try:
             res = self._fit(u, st.rows, h - 1, st.fit.params)
         except (NotConverged, DataError) as exc:
-            self.notes.append(
+            notes.append(
                 f"constrained fit at {context_label(u)} (lag {h}) failed: {exc}; "
                 f"treating the lag as droppable"
             )
@@ -458,23 +519,13 @@ class _Engine:
             res = glm.MleResult(block, design_loglik(design, block), 0,
                                 converged=False, separated=st.fit.separated)
             test = LrtResult(float("nan"), df, float("nan"))
-            dropped = True
         else:
             test = self._lrt(
-                res.loglik, st.fit.loglik, df,
-                f"reduced fit at {context_label(u)} (lag {h}) beat the larger model; "
-                f"optimizer trouble, dropping the lag",
+                res.loglik, st.fit.loglik, df, notes,
+                lambda: f"reduced fit at {context_label(u)} (lag {h}) beat the larger "
+                        f"model; optimizer trouble, dropping the lag",
             )
-            dropped = test.p_value > gamma_eff
-        if dropped:
-            self.leaves[u] = _LeafState(st.rows, res)
-        self.audit.append(
-            AuditRecord(
-                kind, (u,), h, test.statistic, test.df, test.p_value,
-                "drop" if dropped else "keep",
-            )
-        )
-        return dropped
+        return test, _LeafState(st.rows, res)
 
     def _lag_sweep(self, u: Context, gamma_eff: float) -> None:
         while self.leaves[u].fit.params.h >= 1:
@@ -482,24 +533,11 @@ class _Engine:
                 break
 
     def _merge_test(self, parent: Context, children: list[Context], gamma_eff: float) -> bool:
-        p, d = self.p, self.d
-        states = [self.leaves[c] for c in children]
-        ll_alt = sum(s.fit.loglik for s in states)
-        params_alt = sum((p - 1) * (1 + d * s.fit.params.h) for s in states)
-        rows = np.concatenate([s.rows for s in states])
-        null_state = self._fit_state(parent, rows, h=len(parent), start=None)
-        params_null = (p - 1) * (1 + d * null_state.fit.params.h)
-        df = params_alt - params_null
-        if df < 1:
-            self.notes.append(
-                f"merge at {context_label(parent)} had no free parameters to test; skipping"
-            )
+        states = tuple(self.leaves[c] for c in children)
+        out = self._outcome(states, lambda notes: self._merge_outcome(parent, states, notes))
+        test = out.test
+        if test is None:
             return False
-        test = self._lrt(
-            null_state.fit.loglik, ll_alt, df,
-            f"children of {context_label(parent)} scored below their merge; "
-            f"optimizer trouble, merging",
-        )
         merged = test.p_value >= gamma_eff
         self.audit.append(
             AuditRecord(
@@ -511,8 +549,31 @@ class _Engine:
         if merged:
             for c in children:
                 del self.leaves[c]
-            self.leaves[parent] = null_state
+            self.leaves[parent] = out.state
         return merged
+
+    def _merge_outcome(self, parent: Context, states: tuple[_LeafState, ...],
+                       notes: list[str]) -> tuple[LrtResult | None, _LeafState]:
+        """The merge test of the children ``states`` and the merged parent's
+        state; no test when the merge frees no parameters."""
+        p, d = self.p, self.d
+        ll_alt = sum(s.fit.loglik for s in states)
+        params_alt = sum((p - 1) * (1 + d * s.fit.params.h) for s in states)
+        rows = np.concatenate([s.rows for s in states])
+        null_state = self._fit_state(parent, rows, len(parent), None, notes)
+        params_null = (p - 1) * (1 + d * null_state.fit.params.h)
+        df = params_alt - params_null
+        if df < 1:
+            notes.append(
+                f"merge at {context_label(parent)} had no free parameters to test; skipping"
+            )
+            return None, null_state
+        test = self._lrt(
+            null_state.fit.loglik, ll_alt, df, notes,
+            lambda: f"children of {context_label(parent)} scored below their merge; "
+                    f"optimizer trouble, merging",
+        )
+        return test, null_state
 
     # -- outputs -------------------------------------------------------------
 
@@ -777,14 +838,20 @@ def select_tuning(
     order), lag count and warm start: one fitted on the same rows is fitted
     once and reused, and its design is gathered only for that first fit.  A
     fit that does not converge is shared the same way, as its iteration
-    count and message.  The p-values of repeated tests come from the memo of
-    ``chi2_sf``.  So every candidate equals a separate ``fit`` at that
-    (s, gamma) and horizon.
+    count and message.  The gamma values of one s share each test's outcome:
+    its statistic, p-value, reduced or merged fit and notes do not depend on
+    gamma, so they are memoized by the tested leaf states, which the grid
+    points of one s share, and each grid point only compares its own level
+    with the p-value.  Across s, the p-values of repeated tests come from the
+    memo of ``chi2_sf``.  So every candidate equals a separate ``fit`` at
+    that (s, gamma) and horizon.  When no s can grow a tree, the data are at
+    fault and ``DataTooShort`` is raised.
     """
     base = config or FitConfig()
     grid = _grid_configs(s_grid, gamma_grid, base)
     p_eff = _infer_p(data, p)
     index = HistoryIndex(data)
+    _check_alphabet(index, p_eff, min(grid) * (1 + data.d))  # once, not per s
     failures: list[str] = []
     structures: dict[int, set[Context]] = {}
     for s in grid:
@@ -793,7 +860,7 @@ def select_tuning(
         except DataTooShort as exc:
             failures.append(f"s={s}: {exc}")
     if not structures:
-        raise AllFitsFailed("; ".join(failures))
+        raise DataTooShort("; ".join(failures))
     horizon = max(max(len(u) for u in st) for st in structures.values())
     fit_cache: dict = {}
     best_key = None

@@ -454,7 +454,7 @@ def _within_tolerance(g: list[float], tol: float) -> bool:
 def _past_separation_bound(theta: list[float]) -> bool:
     """``np.abs(theta).max() > SEPARATION_BOUND``: a NaN anywhere makes the
     answer False."""
-    return any(abs(v) > SEPARATION_BOUND for v in theta) and not any(v != v for v in theta)
+    return max(map(abs, theta)) > SEPARATION_BOUND and not any(v != v for v in theta)
 
 
 def fit_leaf(

@@ -649,9 +649,43 @@ class TestSelectTuning:
             select_tuning(data, s_grid=(0, 2, 5), gamma_grid=(1e-3,))
 
     def test_hopeless_data_raises(self):
+        # no s can grow a tree, a data error, not a numerical one
         data = Dataset(states=np.zeros(30, dtype=int), covariates=np.zeros(30))
-        with pytest.raises(AllFitsFailed):
+        with pytest.raises(DataTooShort):
             select_tuning(data, s_grid=[5], gamma_grid=[1e-2])
+
+    @staticmethod
+    def tune_recording_reports(data, base, monkeypatch):
+        """``select_tuning`` at ``p=2`` with every grid point's report kept."""
+        reports = []
+        engine_report = algorithm._Engine.report
+
+        def recording_report(engine):
+            reports.append(engine_report(engine))
+            return reports[-1]
+
+        monkeypatch.setattr(algorithm._Engine, "report", recording_report)
+        result = select_tuning(data, config=base, p=2)
+        monkeypatch.setattr(algorithm._Engine, "report", engine_report)
+        return result, reports
+
+    @staticmethod
+    def assert_points_match_fits(data, base, result, reports):
+        """Each candidate and grid-point report equals a plain ``fit`` at its
+        (s, gamma) and the tuned horizon; returns those fits."""
+        assert len(reports) == len(result.candidates) == 12
+        fields = ("bic", "aic", "loglik", "n_alpha", "n_beta")
+        directs = []
+        for c, rep in zip(result.candidates, reports):
+            cfg = base.replace(s=c.s, gamma=c.gamma)
+            direct = fit(data, cfg, p=2, horizon=result.report.horizon)
+            assert [getattr(c, f) for f in fields] == [getattr(direct, f) for f in fields]
+            assert rep.config == cfg
+            assert rep.to_json() == direct.to_json()
+            if cfg == result.config:
+                assert result.report.to_json() == direct.to_json()
+            directs.append(direct)
+        return directs
 
     @pytest.mark.parametrize(
         "model, n, seed, stall, note",
@@ -677,32 +711,54 @@ class TestSelectTuning:
             monkeypatch.setattr("vlmcx.algorithm.fit_leaf", stalling_fit_leaf)
         data = vlmcx.generate(vlmcx.builtin_model(model), n, seed=seed)
         base = FitConfig(ic_include_intercepts=True)
-        result = select_tuning(data, config=base, p=2)
+        result, reports = self.tune_recording_reports(data, base, monkeypatch)
         tuned_fallbacks = len(fallbacks)
-        assert len(result.candidates) == 12
-        fields = ("bic", "aic", "loglik", "n_alpha", "n_beta")
-        seen_note = False
-        for c in result.candidates:
-            cfg = base.replace(s=c.s, gamma=c.gamma)
-            direct = fit(data, cfg, p=2, horizon=result.report.horizon)
-            assert [getattr(c, f) for f in fields] == [getattr(direct, f) for f in fields]
-            seen_note |= any(note in msg for msg in direct.notes)
-            if cfg == result.config:
-                assert result.report.to_json() == direct.to_json()
-        assert seen_note
+        directs = self.assert_points_match_fits(data, base, result, reports)
+        assert any(note in msg for direct in directs for msg in direct.notes)
         if stall:
             # the tuning grid reuses intercept-only fallbacks across s and gamma
             assert 0 < tuned_fallbacks < len(fallbacks) - tuned_fallbacks
 
+    @pytest.mark.parametrize("model, n, seed", [
+        ("model2", 1000, 1000000),
+        ("model1", 2000, 1000003),
+    ])
+    def test_shared_fits_match_uncached_fits_under_bonferroni(self, model, n, seed,
+                                                             monkeypatch):
+        data = vlmcx.generate(vlmcx.builtin_model(model), n, seed=seed)
+        base = FitConfig(ic_include_intercepts=True, bonferroni=True)
+        result, reports = self.tune_recording_reports(data, base, monkeypatch)
+        self.assert_points_match_fits(data, base, result, reports)
+
+    def test_each_test_runs_once_per_grid(self, monkeypatch):
+        # the gamma values of one s share each test's outcome, so no LRT
+        # reaches lrt twice
+        seen = []
+
+        def spy(ll_null, ll_alt, df):
+            seen.append((ll_null, ll_alt, df))
+            return lrt(ll_null, ll_alt, df)
+
+        monkeypatch.setattr("vlmcx.algorithm.lrt", spy)
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+        result = select_tuning(data, s_grid=[2])
+        assert len(result.candidates) == 4
+        assert len(seen) > 0
+        assert len(seen) == len(set(seen))
+
     def test_failed_fits_are_fitted_once(self, monkeypatch):
         # the fit cache keeps a NotConverged outcome as its iterations and
-        # message, so a grid point that requests a failed fit again gets the
-        # same error without a second Newton run
+        # message, so an engine that requests a failed fit again gets the
+        # same error without a second Newton run; cold lagged fits on an odd
+        # number of rows stall, so each s engine requests those failed
+        # initial fits again
         reached, failed = [], {}
 
         def counting_fit_leaf(design, h=None, *, start=None, **kwargs):
             warm = None if start is None else (start.alpha.tobytes(), start.beta.tobytes())
             reached.append((design.X.tobytes(), design.y.tobytes(), h, warm))
+            if start is None and h and design.m % 2:
+                raise NotConverged(0)
             return fit_leaf(design, h, start=start, **kwargs)
 
         engine_fit = algorithm._Engine._fit

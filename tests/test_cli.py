@@ -340,6 +340,20 @@ class TestExitCodes:
                      "--tune", "--s-grid", "0"]) == 3
         assert "s must be >= 1" in capsys.readouterr().err
 
+    def test_tuning_on_a_stray_label_exits_three(self, tmp_path, capsys):
+        # no s of the grid can grow a tree: one data error, not one per s
+        rng = np.random.default_rng(3)
+        states = rng.integers(0, 2, size=300)
+        states[150] = 1000000
+        rows = "".join(f"{y},{x}\n" for y, x in zip(states, rng.normal(size=300)))
+        csv_path = write(tmp_path, "stray.csv", "y,x1\n" + rows)
+        spec = write(tmp_path, "spec.json",
+                     json.dumps({"target": {"column": "y"}, "covariates": [{"column": "x1"}]}))
+        assert main(["fit", "--data", csv_path, "--ingest", spec, "--tune"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].count("1000000") == 1
+
     def test_negative_seed_exits_three(self, tmp_path, capsys):
         out = str(tmp_path / "sim.csv")
         assert main(["simulate", "--model", "model2", "--n", "100",
