@@ -99,7 +99,7 @@ def _transform(values: np.ndarray, how: str, column: str) -> tuple[np.ndarray, i
     if bad.size:
         raise DataError(
             f"log_return needs positive values; column {column!r} has "
-            f"{values[bad[0]]!r} at data row {int(bad[0]) + 1}"
+            f"{float(values[bad[0]])!r} at data row {int(bad[0]) + 1}"
         )
     with np.errstate(all="ignore"):  # ingest names the values that come out non-finite
         return np.log(values[1:] / values[:-1]), 1
@@ -304,8 +304,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y"] + [f"x{i + 1}" for i in range(data.d)])
-        for i in range(data.n):
-            writer.writerow([int(data.states[i])] + [repr(float(v)) for v in data.covariates[i]])
+        for y, row in zip(data.states.tolist(), data.covariates.tolist()):
+            writer.writerow([y] + [repr(v) for v in row])
     print(f"wrote {data.n} rows to {args.out}")
     return 0
 

@@ -157,10 +157,14 @@ def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
     visit), else the state each row would draw.
 
     Every number has the bits of the per-step path: the stacked mat-vec
-    makes the same BLAS call per row as ``bflat @ lagged[r, :width]``, the
-    multinomial law applies ``_next_state_law``'s ufuncs row by row, and
-    counting the cumulative probabilities at or below the row's uniform is
-    ``bisect_right``.
+    makes the same BLAS call per row as ``bflat @ lagged[r, :width]``, and
+    the multinomial law applies ``_next_state_law``'s ufuncs to every row
+    at once.  Its arrays are state-major, ``(p, rows)``, so each step is a
+    whole-row ufunc; the elementwise steps, the maximum, the running sum
+    over states and the count of cumulative probabilities at or below the
+    row's uniform (``bisect_right``) do not depend on the layout.  Only the
+    normalising sum does: numpy sums a contiguous row of 8 or more states
+    pairwise, so it is taken over a row-major copy.
     """
     _, alpha, bflat, width, _ = leaf
     z = np.matmul(bflat, lagged[i:hi, :width, np.newaxis])[:, :, 0]
@@ -169,13 +173,13 @@ def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
         drawn = z[:, 0].tolist()
     else:
         p = z.shape[1] + 1
-        full = np.zeros((hi - i, p))
-        full[:, 1:] = z
-        full -= np.maximum.reduce(full, axis=1, keepdims=True)
+        full = np.zeros((p, hi - i))
+        full[1:] = z.T
+        full -= np.maximum.reduce(full, axis=0)
         probs = np.exp(full)
-        probs /= np.add.reduce(probs, axis=1, keepdims=True)
-        cum = np.add.accumulate(probs, axis=1)
-        below = np.add.reduce(cum <= uniforms[i:hi, np.newaxis], axis=1)
+        probs /= np.add.reduce(probs.T.copy(), axis=1)
+        cum = np.add.accumulate(probs, axis=0)
+        below = np.add.reduce(cum <= uniforms[i:hi], axis=0)
         drawn = np.minimum(below, p - 1).tolist()
     return [None] * (i - lo) + drawn
 
@@ -191,7 +195,12 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
     step.  With two states a step gives state 1 when its uniform falls
     below P(state 1); otherwise the uniform inverts the cumulative
     probabilities of states 0..p-1.  Each step's leaf comes from its last
-    ``order`` states, looked up in the tree once per distinct history.
+    ``order`` states, looked up in the tree once per distinct history.  The
+    history is held as one integer whose base-``p`` digits are those states,
+    the most recent in the lowest digit, and only a history not seen before
+    is decoded into the tuple that ``ContextTree.lookup`` walks.  The codes
+    seen are kept in a dict: a table of all ``p ** order`` histories could
+    be far too large.
 
     The steps run in blocks of ``BLOCK_ROWS`` rows.  A leaf without
     covariate lags has one fixed law.  A covariate leaf computes its law
@@ -232,17 +241,21 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
         width = block.h * d
         fixed = None if width else _next_state_law(alpha, binary)
         params[u] = (k, alpha, np.asarray(block.beta.reshape(block.n_targets, -1)), width, fixed)
-    leaf_of: dict[Context, tuple] = {}
+    # the last eta states as base-p digits, the most recent lowest: a step
+    # shifts the digits up, adds its state and drops the digit at p ** eta
+    span = p**eta
+    leaf_of: dict[int, tuple] = {}
     states = [0] * total
-    hist: Context = (0,) * eta
+    code = 0
     for lo in range(0, total, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, total)
         visits = [0] * len(params)
         hot_rows: list[list | None] = [None] * len(params)
         for i in range(lo, hi):
-            leaf = leaf_of.get(hist)
+            leaf = leaf_of.get(code)
             if leaf is None:
-                leaf = leaf_of[hist] = params[tree.lookup(hist)]
+                hist = tuple(code // p**j % p for j in range(eta))
+                leaf = leaf_of[code] = params[tree.lookup(hist)]
             k, alpha, bflat, width, law = leaf
             if law is None:
                 hot = hot_rows[k]
@@ -261,8 +274,7 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
             else:
                 yi = min(bisect.bisect_right(law, uniforms[i]), p - 1)
             states[i] = yi
-            if eta:
-                hist = (yi,) + hist[:-1]
+            code = (code * p + yi) % span
     return Dataset(states=np.array(states[burn_in:], dtype=np.int64), covariates=cov[burn_in:])
 
 

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vlmcx import ContextTree
+from vlmcx import ContextTree, ParamBlock, generate
 from vlmcx.cli import (
+    TRANSFORMS,
     ColumnSpec,
     IngestSpec,
     chronological_to_context,
@@ -25,7 +32,7 @@ from vlmcx.errors import (
     MissingColumn,
     NonNumericCell,
 )
-from vlmcx.simulate import builtin_model
+from vlmcx.simulate import ModelSpec, builtin_model
 
 SIX_ROWS = """date,hsi,sp500
 d1,0.5,100.0
@@ -165,6 +172,18 @@ class TestHelpers:
         assert "root (" not in text
 
 
+def expected_csv(spec, n, seed):
+    """The file ``vlmcx simulate`` should write, built row by row from
+    ``generate``'s data: the state, then ``repr`` of each covariate."""
+    data = generate(spec, n, seed)
+    header = ",".join(["y"] + [f"x{i + 1}" for i in range(data.d)])
+    rows = [
+        ",".join([str(int(data.states[i]))] + [repr(float(v)) for v in data.covariates[i]])
+        for i in range(data.n)
+    ]
+    return ("\r\n".join([header] + rows) + "\r\n").encode()
+
+
 class TestCommands:
     def ingest_json(self, tmp_path):
         return write(
@@ -190,6 +209,17 @@ class TestCommands:
         lines = text.strip().splitlines()
         assert lines[0] == "y,x1"
         assert len(lines) == 401
+        assert Path(out1).read_bytes() == expected_csv(builtin_model("model2"), 400, 7)
+        # a tree without covariates writes the state column alone
+        nodes = {(): None}
+        for s, alpha in enumerate(([0.2, -0.4], [1.0, 0.5], [-0.3, 0.8])):
+            nodes[(s,)] = ParamBlock(alpha=np.array(alpha), beta=np.zeros((2, 0, 0)))
+        tree = ContextTree(p=3, d=0, nodes=nodes)
+        model = write(tmp_path, "model.json", tree.serialize())
+        assert main(["simulate", "--model", model, "--n", "300",
+                     "--seed", "4", "--out", out1]) == 0
+        assert Path(out1).read_text().splitlines()[0] == "y"
+        assert Path(out1).read_bytes() == expected_csv(ModelSpec(tree=tree), 300, 4)
 
     def test_simulate_fit_predict_round_trip(self, tmp_path, capsys):
         sim = str(tmp_path / "sim.csv")
@@ -367,3 +397,71 @@ class TestExitCodes:
         assert main(["predict", "--model", "/nope/model.json",
                      "--history", "0,1"]) == 3
         capsys.readouterr()
+
+
+FAULT_CELLS = ["", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "abc"]
+STRAY_LABELS = ["3", "1000", "1000000"]
+# what a failing case's one error line must name: a column, a data row or a
+# state, or else the length of the data
+NAMED_CAUSE = re.compile(
+    r"column '(y|x1)'|row \d+|state \d+|n=\d+|data rows|sibling group"
+)
+
+
+@st.composite
+def csv_cases(draw):
+    """A CSV of a target ``y`` and one covariate ``x1``: labels from up to
+    three states (one state gives a constant target), covariates positive or
+    of both signs, and up to three cells replaced by a fault: empty, NaN,
+    an infinity, 1e±300, text, or in the target a stray label."""
+    n = draw(st.integers(1, 80))
+    states = draw(st.integers(1, 3))
+    ys = [str(v) for v in draw(st.lists(st.integers(0, states - 1), min_size=n, max_size=n))]
+    low = draw(st.sampled_from([0.01, -10.0]))
+    xs = [repr(v) for v in draw(st.lists(st.floats(low, 10.0), min_size=n, max_size=n))]
+    for column, row, cell in draw(st.lists(st.tuples(
+            st.sampled_from(["y", "x1"]), st.integers(0, n - 1),
+            st.sampled_from(FAULT_CELLS + STRAY_LABELS)), max_size=3)):
+        (ys if column == "y" else xs)[row] = cell
+    transforms = draw(st.tuples(st.sampled_from(TRANSFORMS), st.sampled_from(TRANSFORMS)))
+    return ys, xs, transforms, draw(st.booleans())
+
+
+class TestCsvFuzz:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        return str(root / "data.csv"), str(root / "ingest.json")
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=csv_cases())
+    @example(case=(["0", "1", "0", "1"], ["1e-300", "1e300", "1.0", "2.0"],
+                   ("none", "log_return"), False))
+    @example(case=(["0", "1", "0", "1"], ["1.0", "-0.5", "1.0", "2.0"],
+                   ("none", "log_return"), True))
+    @example(case=(["0", "1"] * 20 + ["1000000"], ["0.5"] * 41, ("none", "none"), True))
+    def test_every_csv_exits_cleanly(self, paths, case):
+        ys, xs, (target_how, covariate_how), tune = case
+        data, spec = paths
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("y,x1\n" + "".join(f"{y},{x}\n" for y, x in zip(ys, xs)))
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump({"target": {"column": "y", "transform": target_how},
+                       "covariates": [{"column": "x1", "transform": covariate_how}]}, fh)
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["fit", "--data", data, "--ingest", spec] + ["--tune"] * tune)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(("error: ", "numerical failure: ")), lines
+            assert NAMED_CAUSE.search(lines[0]) and "np." not in lines[0], lines
+        # log_return consumes the first row; a kept label of 10**6 fails fast
+        kept = ys[int("log_return" in (target_how, covariate_how)):]
+        if target_how == "none" and "1000000" in kept:
+            assert code == 3 and elapsed < 0.1, (code, elapsed)

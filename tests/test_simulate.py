@@ -253,6 +253,37 @@ def _no_covariates():
     return ModelSpec(tree=ContextTree(p=3, d=0, nodes=nodes))
 
 
+def _wide_alphabet():
+    """p = 9, d = 2, depth 1, with and without a covariate lag: from 8 states
+    on numpy sums a row of probabilities pairwise, so the block's normalising
+    sum must follow it."""
+    rng = np.random.default_rng(9)
+    nodes = {(): None}
+    for s in range(9):
+        beta = rng.normal(size=(8, s % 2, 2))
+        nodes[(s,)] = ParamBlock(alpha=rng.normal(size=8), beta=beta)
+    return ModelSpec(tree=ContextTree(p=9, d=2, nodes=nodes))
+
+
+def _deep_comb():
+    """A comb of order 20 over 10 states: only state 0 extends a context, so
+    histories are 20 states long and their codes pass 2**63.  States 1..9
+    are unlikely, so long runs of zeros reach the deepest leaves."""
+    p, order = 10, 20
+    rng = np.random.default_rng(20)
+
+    def block(h):
+        return ParamBlock(alpha=rng.normal(-5.0, 1.0, size=p - 1), beta=rng.normal(size=(p - 1, h, 1)))
+
+    nodes = {(0,) * order: block(0)}
+    for depth in range(order):
+        spine = (0,) * depth
+        nodes[spine] = None
+        for w in range(1, p):
+            nodes[spine + (w,)] = block(min((depth + w) % 3, depth + 1))
+    return ModelSpec(tree=ContextTree(p=p, d=1, nodes=nodes))
+
+
 SPECS = {
     "model1": lambda: builtin_model("model1"),
     "model2": lambda: builtin_model("model2"),
@@ -261,6 +292,8 @@ SPECS = {
     "root_only": _root_only,
     "two_leaves": _two_leaves,
     "no_covariates": _no_covariates,
+    "wide": _wide_alphabet,
+    "deep_comb": _deep_comb,
 }
 
 
@@ -340,7 +373,7 @@ class TestBlockDraw:
     def test_large_fitted_tree_matches_per_step_generator(self, fitted_tri_tree, n, burn_in):
         assert_same_as_reference(fitted_tri_tree, n, seed=3, burn_in=burn_in)
 
-    @pytest.mark.parametrize("name", ["model1", "tri"])
+    @pytest.mark.parametrize("name", ["model1", "tri", "wide"])
     def test_hot_block_has_the_per_step_bits(self, name):
         # a state hides most rounding, so compare the numbers themselves:
         # binary rows against the per-step predictor, multinomial rows with
