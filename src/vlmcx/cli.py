@@ -154,16 +154,19 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
 
     target = aligned(spec.target.column)
     # NaN, inf and values past int64 fail the range test before any cast
-    beyond = ~(np.abs(target) < 2.0**63)
-    if beyond.any():
+    beyond = np.flatnonzero(~(np.abs(target) < 2.0**63))
+    if beyond.size:
         raise DataError(
             f"target column {spec.target.column!r} has a non-finite or out-of-range "
-            f"value {float(target[beyond][0])!r} after its transform"
+            f"value {float(target[beyond[0]])!r} at data row {start + int(beyond[0]) + 1} "
+            f"after its transform"
         )
-    if np.any(target < 0) or np.any(target != np.round(target)):
+    bad = np.flatnonzero((target < 0) | (target != np.round(target)))
+    if bad.size:
         raise DataError(
             f"target column {spec.target.column!r} must yield non-negative "
-            f"integer states after its transform"
+            f"integer states, got {float(target[bad[0]])!r} at data row "
+            f"{start + int(bad[0]) + 1} after its transform"
         )
     for col in spec.covariates:
         values = aligned(col.column)

@@ -139,49 +139,77 @@ def _p_one(z: float) -> float:
 def _next_state_law(z: np.ndarray, binary: bool) -> float | list[float]:
     """Law of the next state given the linear predictors ``z`` of states
     1..p-1: P(state 1) when ``binary``, else the cumulative probabilities of
-    states 0..p-1."""
+    states 0..p-2, so that ``bisect_right`` of a uniform is its state."""
     if binary:
         return _p_one(float(z[0]))
     full = np.concatenate(([0.0], z))
     full -= np.maximum.reduce(full)
     probs = np.exp(full)
     probs /= np.add.reduce(probs)
-    return np.add.accumulate(probs).tolist()
+    return np.add.accumulate(probs[:-1]).tolist()
+
+
+def _band(alpha: np.ndarray, bflat: np.ndarray, width: int, xmax: float, p: int) -> float:
+    """How far a hot block's uniform must lie from its leaf's probabilities
+    for the block to draw the per-step state (see ``_hot_block``), given a
+    bound ``xmax`` on every covariate entry the leaf reads."""
+    row_sum = max(sum(map(abs, row)) for row in bflat.tolist())
+    delta = 4 * (width + 2) * 2.0**-52 * (xmax * row_sum + max(map(abs, alpha.tolist()))) + 1e-13
+    return delta if p == 2 else p * delta
 
 
 def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
                lo: int, i: int, hi: int, binary: bool) -> list:
-    """One covariate leaf's steps on rows ``i..hi-1``, behind ``i - lo``
-    placeholders so that row ``r`` sits at ``r - lo``: the linear predictor
-    of each row when ``binary`` (``_p_one`` turns it into P(state 1) on a
-    visit), else the state each row would draw.
+    """One covariate leaf's states on rows ``i..hi-1``, behind ``i - lo``
+    placeholders so that row ``r`` sits at ``r - lo``.  A placeholder, and a
+    row whose state the block cannot vouch for, holds -1; the visit of such
+    a row draws it by the per-step law.
 
-    Every number has the bits of the per-step path: the stacked mat-vec
-    makes the same BLAS call per row as ``bflat @ lagged[r, :width]``, and
-    the multinomial law applies ``_next_state_law``'s ufuncs to every row
-    at once.  Its arrays are state-major, ``(p, rows)``, so each step is a
-    whole-row ufunc; the elementwise steps, the maximum, the running sum
-    over states and the count of cumulative probabilities at or below the
-    row's uniform (``bisect_right``) do not depend on the layout.  Only the
-    normalising sum does: numpy sums a contiguous row of 8 or more states
-    pairwise, so it is taken over a row-major copy.
+    One product gives the linear predictors of every row, state-major:
+    ``bflat @ lagged[i:hi, :width].T + alpha``.  It sums in another order
+    than the per-step ``alpha + bflat @ lagged[r, :width]``, so a predictor
+    may differ from the per-step one in its last bits.  In any order, a
+    computed sum of ``n`` terms is off by at most ``n * 2**-53 / (1 - n *
+    2**-53)`` times the sum of their magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1).  Here ``n =
+    width + 1``, so the two predictors differ by less than ``delta / 4``,
+    where ``delta`` is ``4 * (width + 2) * 2**-52`` times ``max|x| * max
+    row-sum |bflat| + max|alpha|`` and ``x`` ranges over the covariates.
+    A change of the predictors by at most ``e`` each moves P(state 1) by at
+    most ``e / 4`` and each cumulative softmax probability by at most ``e``.
+    The exponentials, divisions and sums that follow add a few units in the
+    last place; ``1e-13`` per probability covers them.  So when a row's
+    uniform lies more than ``delta + 1e-13`` from its P(state 1), or more
+    than ``p * (delta + 1e-13)`` from each of its cumulative probabilities
+    (``_band``), it falls on the same side of the per-step law, and the
+    block draws the per-step state.  Every other row, and any row whose
+    numbers are not finite, is left to the per-step law.
     """
-    _, alpha, bflat, width, _ = leaf
-    z = np.matmul(bflat, lagged[i:hi, :width, np.newaxis])[:, :, 0]
-    z += alpha
+    _, alpha, bflat, width, _, band = leaf
+    u = uniforms[i:hi]
+    z = bflat @ lagged[i:hi, :width].T
+    z += alpha[:, np.newaxis]
     if binary:
-        drawn = z[:, 0].tolist()
+        with np.errstate(over="ignore"):  # P(state 1) is 0.0 past the exp range
+            law = 1.0 / (1.0 + np.exp(-z[0]))
+        drawn = u < law
+        clear = np.abs(u - law) > band
     else:
-        p = z.shape[1] + 1
-        full = np.zeros((p, hi - i))
-        full[1:] = z.T
+        full = np.zeros((len(alpha) + 1, hi - i))
+        full[1:] = z
         full -= np.maximum.reduce(full, axis=0)
         probs = np.exp(full)
-        probs /= np.add.reduce(probs.T.copy(), axis=1)
-        cum = np.add.accumulate(probs, axis=0)
-        below = np.add.reduce(cum <= uniforms[i:hi], axis=0)
-        drawn = np.minimum(below, p - 1).tolist()
-    return [None] * (i - lo) + drawn
+        probs /= np.add.reduce(probs, axis=0)
+        # C_0..C_{p-2}; a loop over states is many times faster than
+        # np.add.accumulate along axis 0
+        cum = probs[:-1]
+        for j in range(1, len(cum)):
+            cum[j] += cum[j - 1]
+        drawn = np.add.reduce(cum <= u, axis=0)
+        clear = np.logical_and.reduce(np.abs(cum - u) > band, axis=0)
+    states = np.full(hi - lo, -1)
+    np.copyto(states[i - lo :], drawn, where=clear)
+    return states.tolist()
 
 
 def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset:
@@ -206,13 +234,16 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
     covariate lags has one fixed law.  A covariate leaf computes its law
     step by step until it turns hot: at least ``HOT_VISITS`` visits in the
     block, and at least one per ``HOT_SPACING`` steps of the block so far.
-    Then one array pass covers every remaining row of the block for that
-    leaf (the linear predictors when p = 2, the drawn states otherwise), and
-    its later visits read their row.  A leaf visited a few times per block
+    Then ``_hot_block`` draws the state of every remaining row of the block
+    for that leaf from one product of its coefficients with those rows, and
+    its later visits read their row.  The product may round a predictor
+    differently from the per-step sum, so a row whose uniform lies within a
+    band of its law (``_band``, derived in ``_hot_block``) is left undrawn,
+    and its visit computes the per-step law as a cold step does; such rows
+    are rare unless the coefficients are huge.  Every state is therefore
+    the one the per-step law gives.  A leaf visited a few times per block
     stays on the per-step path, so a tree of many rarely visited leaves
-    costs about what it did.  Both paths apply the same floating-point
-    operations to the same numbers, so the states do not depend on which
-    path drew them.  A binary predictor below about -709.8 gives
+    costs about what it did.  A binary predictor below about -709.8 gives
     P(state 1) = 0, so the step gives state 0.
     """
     n = _integer("n", n, 1)
@@ -233,14 +264,20 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
     for lag in range(1, min(H, total) + 1):
         lagged[lag:, (lag - 1) * d : lag * d] = cov[: total - lag]
     # per leaf: its index, alpha, flattened beta (row j covers target j+1),
-    # h*d, and the next state's law when no covariate enters
+    # h*d, and either the next state's law when no covariate enters or the
+    # hot blocks' band; every lagged entry is a covariate or zero
+    xmax = float(np.abs(cov).max()) if cov.size else 0.0
     params: dict[Context, tuple] = {}
     for k, u in enumerate(tree.leaves()):
         block = tree.nodes[u]
         alpha = np.asarray(block.alpha)
+        bflat = np.asarray(block.beta.reshape(block.n_targets, -1))
         width = block.h * d
-        fixed = None if width else _next_state_law(alpha, binary)
-        params[u] = (k, alpha, np.asarray(block.beta.reshape(block.n_targets, -1)), width, fixed)
+        if width:
+            fixed, band = None, _band(alpha, bflat, width, xmax, p)
+        else:
+            fixed, band = _next_state_law(alpha, binary), None
+        params[u] = (k, alpha, bflat, width, fixed, band)
     # the last eta states as base-p digits, the most recent lowest: a step
     # shifts the digits up, adds its state and drops the digit at p ** eta
     span = p**eta
@@ -256,23 +293,21 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
             if leaf is None:
                 hist = tuple(code // p**j % p for j in range(eta))
                 leaf = leaf_of[code] = params[tree.lookup(hist)]
-            k, alpha, bflat, width, law = leaf
+            k, alpha, bflat, width, law, _ = leaf
             if law is None:
                 hot = hot_rows[k]
                 if hot is None:
                     seen = visits[k] = visits[k] + 1
                     if seen >= HOT_VISITS and seen * HOT_SPACING > i - lo:
                         hot = hot_rows[k] = _hot_block(leaf, lagged, draws, lo, i, hi, binary)
-                if hot is None:
+                yi = -1 if hot is None else hot[i - lo]
+                if yi < 0:
                     law = _next_state_law(alpha + bflat @ lagged[i, :width], binary)
-                elif binary:
-                    law = _p_one(hot[i - lo])
-            if law is None:
-                yi = hot[i - lo]
-            elif binary:
-                yi = 1 if uniforms[i] < law else 0
-            else:
-                yi = min(bisect.bisect_right(law, uniforms[i]), p - 1)
+            if law is not None:
+                if binary:
+                    yi = 1 if uniforms[i] < law else 0
+                else:
+                    yi = bisect.bisect_right(law, uniforms[i])
             states[i] = yi
             code = (code * p + yi) % span
     return Dataset(states=np.array(states[burn_in:], dtype=np.int64), covariates=cov[burn_in:])

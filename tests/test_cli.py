@@ -312,7 +312,24 @@ class TestExitCodes:
                      json.dumps({"target": {"column": "y"}, "covariates": [{"column": "x1"}]}))
         assert main(["fit", "--data", csv_path, "--ingest", spec]) == 3
         err = capsys.readouterr().err
-        assert f"target column 'y' has a non-finite or out-of-range value {shown}" in err
+        assert (f"target column 'y' has a non-finite or out-of-range value {shown} "
+                f"at data row 3 after its transform") in err
+
+    @pytest.mark.parametrize("cell, shown", [("-1", "-1.0"), ("0.5", "0.5"), ("-2.5", "-2.5")])
+    @pytest.mark.parametrize("transform", ["none", "log_return"])
+    def test_negative_or_fractional_target_names_its_row(self, tmp_path, capsys,
+                                                         cell, shown, transform):
+        # log_return consumes the first row; the data row counts from the
+        # first row of the file either way, as for covariates
+        csv_path = write(tmp_path, "five.csv",
+                         f"y,x1\n0,0.1\n1,0.2\n{cell},0.3\n0,0.4\n1,0.5\n")
+        spec = write(tmp_path, "spec.json", json.dumps(
+            {"target": {"column": "y"},
+             "covariates": [{"column": "x1", "transform": transform}]}))
+        assert main(["fit", "--data", csv_path, "--ingest", spec]) == 3
+        err = capsys.readouterr().err
+        assert (f"target column 'y' must yield non-negative integer states, got {shown} "
+                f"at data row 3 after its transform") in err
 
     @pytest.mark.parametrize("first, second, transform", [
         ("1e-300", "1e300", "log_return"),  # the ratio 1e600 overflows to inf

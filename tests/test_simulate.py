@@ -311,18 +311,29 @@ class _PathCounter:
     def __init__(self, monkeypatch):
         self.cold = 0
         self.hot_leaves = []
+        self.blocks = []
         step_law, hot_block = simulate._next_state_law, simulate._hot_block
 
         def counted_law(z, binary):
             self.cold += 1
             return step_law(z, binary)
 
-        def counted_block(leaf, *args):
+        def counted_block(leaf, lagged, uniforms, lo, i, hi, binary):
             self.hot_leaves.append(leaf[0])
-            return hot_block(leaf, *args)
+            rows = hot_block(leaf, lagged, uniforms, lo, i, hi, binary)
+            self.blocks.append((leaf[0], lo, i, rows))
+            return rows
 
         monkeypatch.setattr(simulate, "_next_state_law", counted_law)
         monkeypatch.setattr(simulate, "_hot_block", counted_block)
+
+
+def _scaled(spec, factor):
+    """``spec`` with every covariate coefficient multiplied by ``factor``."""
+    tree = spec.tree
+    nodes = {u: b if b is None else ParamBlock(alpha=b.alpha, beta=b.beta * factor)
+             for u, b in tree.nodes.items()}
+    return ModelSpec(tree=ContextTree(p=tree.p, d=tree.d, nodes=nodes))
 
 
 def assert_same_as_reference(spec, n, seed, burn_in):
@@ -375,47 +386,96 @@ class TestBlockDraw:
 
     @pytest.mark.parametrize("name", ["model1", "tri", "wide"])
     def test_hot_block_has_the_per_step_bits(self, name):
-        # a state hides most rounding, so compare the numbers themselves:
-        # binary rows against the per-step predictor, multinomial rows with
-        # each uniform set exactly on a per-step cumulative probability
+        # the block's predictors may differ from the per-step ones in their
+        # last bits, which flips a state only when its uniform sits on the
+        # per-step law: binary uniforms on P(state 1) or a neighbouring
+        # float, multinomial ones on a cumulative probability.  The block
+        # must leave each such row to the per-step law (-1), and draw the
+        # per-step state on random uniforms.
         tree = SPECS[name]().tree
         p, binary = tree.p, tree.p == 2
         rng = np.random.default_rng(8)
         lagged = rng.standard_normal((600, 4))
+        xmax = float(np.abs(lagged).max())
         for k, u in enumerate(tree.leaves()):
             block = tree.block(u)
             width = block.h * tree.d
             if not width:
                 continue
             alpha, bflat = block.alpha, block.beta.reshape(block.n_targets, -1)
-            steps = [alpha + bflat @ lagged[r, :width] for r in range(600)]
-            laws = [simulate._next_state_law(z, binary) for z in steps]
+            laws = [simulate._next_state_law(alpha + bflat @ lagged[r, :width], binary)
+                    for r in range(600)]
             if binary:
-                uniforms = rng.random(600)
+                on = np.array(laws)
+                edges = [on, np.nextafter(on, 0.0), np.nextafter(on, 1.0)]
             else:
-                on = rng.integers(0, p - 1, 600)
-                uniforms = np.array([law[j] for law, j in zip(laws, on)])
-            leaf = (k, alpha, bflat, width, None)
+                pick = rng.integers(0, p - 1, 600)
+                edges = [np.array([law[j] for law, j in zip(laws, pick)])]
+            leaf = (k, alpha, bflat, width, None,
+                    simulate._band(alpha, bflat, width, xmax, p))
+            for uniforms in edges:
+                rows = simulate._hot_block(leaf, lagged, uniforms, 100, 150, 600, binary)
+                assert rows == [-1] * 500
+            uniforms = rng.random(600)
             rows = simulate._hot_block(leaf, lagged, uniforms, 100, 150, 600, binary)
-            assert rows[:50] == [None] * 50
-            if binary:
-                assert rows[50:] == [float(z[0]) for z in steps[150:]]
-            else:
-                want = [min(bisect.bisect_right(law, v), p - 1)
-                        for law, v in zip(laws[150:], uniforms[150:].tolist())]
-                assert rows[50:] == want
+            want = [(1 if v < law else 0) if binary else bisect.bisect_right(law, v)
+                    for law, v in zip(laws[150:], uniforms[150:].tolist())]
+            assert rows == [-1] * 50 + want
 
     @pytest.mark.parametrize("w", range(1, 13))
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_stacked_matvec_is_the_per_row_matvec(self, w, k):
-        # the premise of the block draw: a numpy or BLAS build that breaks it
-        # would change generated streams silently
+        # the premise of the hot block's band: the one product over stacked
+        # rows is the per-row mat-vec up to the bound derived in
+        # ``_hot_block``, (w + 2) * 2**-52 * (max|x| * max row-sum |bflat|
+        # + max|alpha|), on coefficients and covariates of many magnitudes
         rng = np.random.default_rng(100 * k + w)
-        bflat = rng.standard_normal((k, w))
-        rows = rng.standard_normal((500, 12))[:, :w]
-        stacked = np.matmul(bflat, rows[:, :, np.newaxis])[:, :, 0]
-        per_row = np.array([bflat @ row for row in rows])
-        assert stacked.tobytes() == per_row.tobytes()
+        for scale in (1e-3, 1.0, 1e4):
+            alpha = rng.standard_normal(k) * scale
+            bflat = rng.standard_normal((k, w)) * scale
+            rows = rng.standard_normal((500, 12))[:, :w] * scale
+            stacked = bflat @ rows.T + alpha[:, np.newaxis]
+            per_row = np.array([alpha + bflat @ row for row in rows]).T
+            xmax = float(np.abs(rows).max())
+            row_sum = float(np.abs(bflat).sum(axis=1).max())
+            bound = (w + 2) * 2.0**-52 * (xmax * row_sum + float(np.abs(alpha).max()))
+            assert float(np.abs(stacked - per_row).max()) < bound
+            band = simulate._band(alpha, bflat, w, xmax, 2)
+            assert band / 4 >= bound
+
+    @pytest.mark.parametrize("name, scale", [("tri", 1e14), ("model2", 30.0)])
+    def test_rows_in_the_band_take_the_per_step_law(self, monkeypatch, name, scale):
+        # the band grows with the coefficients: with tri x 1e14 every hot
+        # row falls inside it.  model2 x 30 stays inside the exp range of the
+        # per-step oracle; its laws are nearly all saturated, and its band of
+        # a few 1e-12 holds no row at this seed.
+        spec = _scaled(SPECS[name](), scale)
+        tree = spec.tree
+        total = 2 * simulate.BLOCK_ROWS + 100
+        want, _ = reference_generate(spec, total, seed=6, burn_in=0)
+        counter = _PathCounter(monkeypatch)
+        data = generate(spec, total, seed=6, burn_in=0)
+        np.testing.assert_array_equal(data.states, want)
+        assert counter.hot_leaves
+        # replay: one per-step law per fixed leaf, and one per visit of a
+        # covariate leaf whose row no hot block drew; none for rows not visited
+        leaves = tree.leaves()
+        fixed = sum(1 for u in leaves if tree.block(u).h == 0)
+        hot = {(k, lo): (start, rows) for k, lo, start, rows in counter.blocks}
+        left, expected = 0, fixed
+        history = [0] * tree.order + want.tolist()
+        for i in range(total):
+            u = tree.lookup(tuple(reversed(history[i : i + tree.order])))
+            if tree.block(u).h == 0:
+                continue
+            lo = i - i % simulate.BLOCK_ROWS
+            start, rows = hot.get((leaves.index(u), lo), (total, None))
+            if i < start or rows[i - lo] < 0:
+                expected += 1
+                left += i >= start
+        assert counter.cold == expected
+        if name == "tri":
+            assert left > 0 and all(set(rows) == {-1} for *_, rows in counter.blocks)
 
 
 class TestExpRange:
