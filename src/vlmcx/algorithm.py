@@ -23,6 +23,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -146,6 +147,11 @@ class LeafDiagnostics:
             "separated": self.separated,
             "iterations": self.iterations,
         }
+
+
+# The note of a leaf whose fit with lags fell back to intercept only, as
+# ``_Engine._fit_state`` writes it; group 1 is the context's label.
+FALLBACK_NOTE = re.compile(r"fit at (.+) with \d+ lags did not converge; fell back to intercept only")
 
 
 @dataclass

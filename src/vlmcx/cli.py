@@ -22,6 +22,7 @@ import numpy as np
 from .algorithm import (
     DEFAULT_GAMMA_GRID,
     DEFAULT_S_GRID,
+    FALLBACK_NOTE,
     FitConfig,
     FitReport,
     fit,
@@ -263,8 +264,24 @@ def _print_report(report: FitReport) -> None:
     )
     print(f"config: s={report.config.s} gamma={report.config.gamma:g}"
           + (" bonferroni" if report.config.bonferroni else ""))
-    for note in report.notes:
+    for note in _note_lines(report):
         print(f"note: {note}")
+
+
+def _note_lines(report: FitReport) -> list[str]:
+    """The notes to print.  When the fits with lags of most contexts the
+    report names (its leaves, the contexts of its audit and those of its
+    fallback notes) fell back to intercept only, one line counts them in
+    place of their notes; the report file keeps every note."""
+    fallen = {m.group(1) for m in map(FALLBACK_NOTE.fullmatch, report.notes) if m}
+    named = fallen | {context_label(ls.context) for ls in report.leaf_stats}
+    named |= {context_label(u) for rec in report.audit for u in rec.contexts}
+    if 2 * len(fallen) <= len(named):
+        return report.notes
+    summary = (f"{len(fallen)} of the {len(named)} contexts of this fit did not converge "
+               f"with lags and fell back to intercept only, so their lag tests did not run; "
+               f"the report's notes (--report) name each")
+    return [summary] + [note for note in report.notes if not FALLBACK_NOTE.fullmatch(note)]
 
 
 def _make_setting(args: argparse.Namespace) -> FitConfig | TuningGrid:

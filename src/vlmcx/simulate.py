@@ -120,11 +120,20 @@ def builtin_model(name: str) -> ModelSpec:
 BUILTIN_MODELS = ("model1", "model2", "model3")
 
 
-# The block size and the hot-leaf rule of ``generate`` (see its docstring),
-# chosen by timing the bundled models and trees of 115 and 203 leaves.
-BLOCK_ROWS = 2048
-HOT_VISITS = 8
-HOT_SPACING = 32
+# The block size and the hot-leaf rule of ``generate`` (see its docstring).
+# A hot block over all 8192 rows costs about as much as 60 per-step laws
+# (some 120 us with two states and 450 us with three, on one x86_64 core),
+# so it pays for a leaf visited about once per 130 rows.  HOT_SPACING asks
+# for twice that rate, because two early visits often come from a leaf that
+# is visited less often.  The values come from a sweep of HOT_VISITS in
+# {2, 3, 4}, HOT_SPACING in {64, 128, 256} and BLOCK_ROWS from 1024 to
+# 16384, timed on the four models of the benchmark's simulate_score workload
+# and on fitted trees of 115 to 427 leaves.  In blocks of 2048 or 4096 rows,
+# going hot on the second visit left a fitted model2 tree of 232 leaves 7-9%
+# slower than the earlier rule (8 visits, one per 32 steps, 2048 rows).
+BLOCK_ROWS = 8192
+HOT_VISITS = 2
+HOT_SPACING = 64
 
 
 def _p_one(z: float) -> float:
@@ -189,16 +198,24 @@ def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
     u = uniforms[i:hi]
     z = bflat @ lagged[i:hi, :width].T
     z += alpha[:, np.newaxis]
+    # the laws below are computed in place: at BLOCK_ROWS rows the
+    # temporaries of a hot block would raise the peak memory of a call
     if binary:
+        # P(state 1) = 1 / (1 + exp(-z))
+        law = np.negative(z[0], out=z[0])
         with np.errstate(over="ignore"):  # P(state 1) is 0.0 past the exp range
-            law = 1.0 / (1.0 + np.exp(-z[0]))
+            np.exp(law, out=law)
+        law += 1.0
+        np.divide(1.0, law, out=law)
         drawn = u < law
-        clear = np.abs(u - law) > band
+        law -= u
+        clear = np.abs(law, out=law) > band
     else:
         full = np.zeros((len(alpha) + 1, hi - i))
         full[1:] = z
+        del z
         full -= np.maximum.reduce(full, axis=0)
-        probs = np.exp(full)
+        probs = np.exp(full, out=full)
         probs /= np.add.reduce(probs, axis=0)
         # C_0..C_{p-2}; a loop over states is many times faster than
         # np.add.accumulate along axis 0
@@ -206,7 +223,8 @@ def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
         for j in range(1, len(cum)):
             cum[j] += cum[j - 1]
         drawn = np.add.reduce(cum <= u, axis=0)
-        clear = np.logical_and.reduce(np.abs(cum - u) > band, axis=0)
+        cum -= u
+        clear = np.logical_and.reduce(np.abs(cum, out=cum) > band, axis=0)
     states = np.full(hi - lo, -1)
     np.copyto(states[i - lo :], drawn, where=clear)
     return states.tolist()
@@ -234,17 +252,22 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
     covariate lags has one fixed law.  A covariate leaf computes its law
     step by step until it turns hot: at least ``HOT_VISITS`` visits in the
     block, and at least one per ``HOT_SPACING`` steps of the block so far.
-    Then ``_hot_block`` draws the state of every remaining row of the block
-    for that leaf from one product of its coefficients with those rows, and
-    its later visits read their row.  The product may round a predictor
+    So a busy leaf goes hot on its second visit, when that visit comes
+    within ``2 * HOT_SPACING`` rows of the block's start, and its first
+    visit is then its only per-step law of the block.  ``_hot_block``
+    draws the state of every remaining row of the block for that leaf from
+    one product of its coefficients with those rows, and its later visits
+    read their row.  The product may round a predictor
     differently from the per-step sum, so a row whose uniform lies within a
     band of its law (``_band``, derived in ``_hot_block``) is left undrawn,
     and its visit computes the per-step law as a cold step does; such rows
     are rare unless the coefficients are huge.  Every state is therefore
-    the one the per-step law gives.  A leaf visited a few times per block
-    stays on the per-step path, so a tree of many rarely visited leaves
-    costs about what it did.  A binary predictor below about -709.8 gives
-    P(state 1) = 0, so the step gives state 0.
+    the one the per-step law gives.  A full hot block costs as much as about
+    60 per-step laws, so a leaf visited less often than once per
+    ``HOT_SPACING`` steps stays on the per-step path, and a tree of many
+    rarely visited leaves still computes many of its laws step by step.  A
+    binary predictor below about -709.8 gives P(state 1) = 0, so the step
+    gives state 0.
     """
     n = _integer("n", n, 1)
     burn_in = _integer("burn_in", burn_in, 0)

@@ -250,6 +250,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "config: s=5 gamma=0.01" in out
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_fit_counts_mass_fallback_in_one_line(self, tmp_path, capsys, scale):
+        # a noise covariate in units of 1e200 defeats every fit with lags;
+        # the output then counts the fallbacks in one line, while the report
+        # keeps one note per context
+        data = generate(builtin_model("model3"), 1000, seed=1)
+        x = np.random.default_rng(7).standard_normal(1000) * scale
+        sim = write(tmp_path, "sim.csv", "y,x1\n" + "".join(
+            f"{s},{v!r}\n" for s, v in zip(data.states.tolist(), x.tolist())))
+        report = str(tmp_path / "report.json")
+        assert main(["fit", "--data", sim, "--ingest", self.ingest_json(tmp_path),
+                     "--report", report]) == 0
+        notes = [line[6:] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("note: ")]
+        doc = json.loads(Path(report).read_text())
+        fallen = [n for n in doc["notes"] if n.endswith("fell back to intercept only")]
+        if scale == 1.0:
+            assert not fallen and notes == doc["notes"]
+            return
+        named = [leaf["context"] for leaf in doc["leaves"]]
+        named += [u for rec in doc["audit"] for u in rec["contexts"]]
+        labels = {",".join(map(str, u)) or "<root>" for u in named}
+        labels |= {n[len("fit at "):n.index(" with ")] for n in fallen}
+        assert 2 * len(fallen) > len(labels)
+        summary = [n for n in notes if "fell back to intercept only" in n]
+        assert summary == [n for n in notes if n not in doc["notes"]]
+        assert len(summary) == 1 and len(notes) == len(doc["notes"]) - len(fallen) + 1
+        assert summary[0].startswith(f"{len(fallen)} of the {len(labels)} contexts ")
+
     def test_predict_known_value(self, capsys):
         assert main(["predict", "--model", "model1",
                      "--history", "0,1,1,1,0"]) == 0

@@ -354,6 +354,7 @@ class TestBlockDraw:
         (1, 1000),
         (300, 0),
         (5000, 1000),
+        (6151, 0),
         (3 * simulate.BLOCK_ROWS + 7, 0),
     ])
     def test_matches_per_step_generator(self, name, n, burn_in):
@@ -371,14 +372,41 @@ class TestBlockDraw:
         generate(_no_covariates(), 5000, seed=5)
         assert counter.hot_leaves == []
 
-    def test_large_fitted_tree_mostly_cold(self, monkeypatch, fitted_tri_tree):
+    def test_large_fitted_tree_goes_hot_by_the_rule(self, monkeypatch, fitted_tri_tree):
+        # replay the visits: a covariate leaf goes hot at its first visit in
+        # a block with count >= HOT_VISITS and count * HOT_SPACING > rows
+        # into the block, and at no other visit
         tree = fitted_tri_tree.tree
-        covariate_leaves = sum(1 for u in tree.leaves() if tree.block(u).h > 0)
+        total = 20_000
         counter = _PathCounter(monkeypatch)
-        generate(fitted_tri_tree, 20_000, seed=3)
-        went_hot = set(counter.hot_leaves)
-        assert counter.cold > 0 and went_hot
-        assert len(went_hot) < covariate_leaves / 2
+        states = generate(fitted_tri_tree, total, seed=3, burn_in=0).states.tolist()
+        leaves = tree.leaves()
+        history = [0] * tree.order + states
+        want, seen = [], {}
+        for i in range(total):
+            lo = i - i % simulate.BLOCK_ROWS
+            u = tree.lookup(tuple(reversed(history[i : i + tree.order])))
+            if tree.block(u).h == 0 or seen.get((u, lo)) == -1:
+                continue
+            count = seen[u, lo] = seen.get((u, lo), 0) + 1
+            if count >= simulate.HOT_VISITS and count * simulate.HOT_SPACING > i - lo:
+                want.append((leaves.index(u), lo, i))
+                seen[u, lo] = -1
+        assert [(k, lo, i) for k, lo, i, _ in counter.blocks] == want
+        assert counter.cold > 0 and want
+
+    @pytest.mark.parametrize("name", ["model1", "model2", "tri"])
+    def test_few_per_step_laws_on_the_pool_models(self, monkeypatch, name):
+        # a busy covariate leaf goes hot on its second visit in a block, so
+        # a 5 000-step call computes few per-step laws: at most 30, against
+        # about 85-110 with the rule of eight visits, one per 32 rows, in
+        # blocks of 2 048
+        spec = SPECS[name]()
+        counter = _PathCounter(monkeypatch)
+        for seed in range(3_000_000, 3_000_020):
+            counter.cold = 0
+            generate(spec, 5000, seed)
+            assert counter.cold <= 30
 
     @pytest.mark.parametrize("n, burn_in", [(5000, 1000), (20_000, 0)])
     def test_large_fitted_tree_matches_per_step_generator(self, fitted_tri_tree, n, burn_in):
@@ -487,28 +515,30 @@ class TestExpRange:
         assert not data.states.any()
 
     def test_covariate_leaf_on_both_paths(self, monkeypatch):
+        # with alpha = -800 most predictors lie below the range.  Row 0 reads
+        # lags of zero, so its predictor is alpha itself, and it is always a
+        # per-step draw: a leaf's first visit in a block is never hot
         counter = _PathCounter(monkeypatch)
         total = simulate.BLOCK_ROWS
-        data = generate(_two_leaves(alpha=0.0, beta=-900.0), total, seed=4, burn_in=0)
+        data = generate(_two_leaves(alpha=-800.0, beta=900.0), total, seed=4, burn_in=0)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((total, 1))[:, 0].tolist()
         uniforms = rng.random(total).tolist()
-        z = [0.0] + [-900.0 * v for v in x[:-1]]
+        z = [-800.0] + [-800.0 + 900.0 * v for v in x[:-1]]
         want = [
             0 if z[i] < -709.8 else int(uniforms[i] < 1.0 / (1.0 + math.exp(-z[i])))
             for i in range(total)
         ]
         assert data.states.tolist() == want
-        # each leaf's first HOT_VISITS - 1 visits are per-step draws, and the
-        # rest of the block is drawn hot; both see predictors below the range
-        assert counter.cold == 2 * (simulate.HOT_VISITS - 1)
         assert sorted(counter.hot_leaves) == [0, 1]
-        visits = {0: [], 1: []}
-        for i in range(total):
-            visits[want[i - 1] if i else 0].append(i)
-        cold = {i for rows in visits.values() for i in rows[: simulate.HOT_VISITS - 1]}
+        # row i visits leaf want[i - 1] (leaf 0 at row 0)
+        drawn = {k: rows for k, _, _, rows in counter.blocks}
+        cold = {i for i in range(total)
+                if drawn.get(want[i - 1] if i else 0, [-1] * total)[i] < 0}
+        hot = set(range(total)) - cold
+        assert counter.cold == len(cold)
         below = {i for i in range(total) if z[i] < -709.8}
-        assert below & cold and below - cold
+        assert 0 in below & cold and below & hot
 
 
 class TestCompareTrees:
