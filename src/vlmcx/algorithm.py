@@ -24,7 +24,7 @@ import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -210,7 +210,7 @@ def _check_alphabet(index: HistoryIndex, p: int, threshold: int) -> None:
     """``DataTooShort`` naming the first unused state of ``0 .. p-1`` and the
     largest label, if any is unused: no depth-1 sibling group can then reach
     ``threshold`` occurrences each."""
-    alphabet = index._alphabet  # sorted distinct labels, all below p
+    alphabet = index.alphabet  # sorted distinct labels, all below p
     if alphabet.size < p:
         # labels match their positions 0, 1, ... up to the first unused state
         unused = int(np.count_nonzero(alphabet == np.arange(alphabet.size)))
@@ -283,6 +283,16 @@ class _Outcome:
     notes: tuple[str, ...]
 
 
+@dataclass
+class _Memo:
+    """Work shared by engines: each initial leaf state with the notes its fit
+    wrote, by context (one horizon gives a context the same rows in every
+    maximal tree), and each test's outcome, by the ids of the tested states."""
+
+    initial: dict[Context, tuple[_LeafState, tuple[str, ...]]] = field(default_factory=dict)
+    outcomes: dict[tuple[int, ...], _Outcome] = field(default_factory=dict)
+
+
 class _Engine:
     """Mutable fitting state: the current leaves, each with its rows and fit.
 
@@ -295,13 +305,14 @@ class _Engine:
     built here unless ``index`` shares one.  A leaf's rows are its window
     rows past the horizon, ascending; a merged parent's are its children's
     rows stacked in child order.  A design is gathered from the index, at
-    the leaf's full depth, only when the fit cache misses.
+    the leaf's full depth, for each fit.
 
-    A test's statistic, p-value, reduced or merged fit and notes do not
-    depend on gamma, so each runs once per engine and the clones that share
-    its leaf states: the outcome is memoized by the ids of the tested
-    states, which are immutable and shared between clones, and each engine
-    only compares its own level with the p-value.
+    A leaf's initial state and a test's outcome (statistic, p-value, reduced
+    or merged fit, notes) do not depend on gamma, so each is computed once
+    per ``memo``, which clones share (a private one unless given).  Tests
+    are keyed by the ids of the tested states, which are immutable, so
+    engines that share a memo and a leaf's initial state share every test
+    from it on.  Each engine only compares its own level with the p-value.
 
     ``seed`` (internal) maps some leaves of a given ``structure`` to their
     blocks.  Such an engine holds only those leaves, each refitted at its
@@ -316,7 +327,7 @@ class _Engine:
         p: int | None = None,
         horizon: int | None = None,
         structure: set[Context] | None = None,
-        fit_cache: dict | None = None,
+        memo: _Memo | None = None,
         seed: dict[Context, ParamBlock] | None = None,
         index: HistoryIndex | None = None,
     ):
@@ -337,8 +348,7 @@ class _Engine:
         self.audit: list[AuditRecord] = []
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
-        self._fit_cache = {} if fit_cache is None else fit_cache
-        self._outcomes: dict[tuple[int, ...], _Outcome] = {}  # shared by clones
+        self._memo = _Memo() if memo is None else memo  # shared by clones
         self._fit_initial(structure, seed)
 
     # -- setup -------------------------------------------------------------
@@ -346,7 +356,8 @@ class _Engine:
     def _fit_initial(self, structure: set[Context],
                      seed: dict[Context, ParamBlock] | None) -> None:
         """Fit every leaf of ``structure`` with all its lags from scratch, or
-        each seeded leaf at its block's lag count from the block."""
+        each seeded leaf at its block's lag count from the block, unless the
+        memo holds the leaf's state."""
         if seed is None:
             tree = ContextTree(p=self.p, d=self.d, nodes=dict.fromkeys(structure))
             starts = dict.fromkeys(tree.leaves())
@@ -360,38 +371,20 @@ class _Engine:
                 f"transitions assigned to leaves"
             )
         for u, r in rows.items():
-            block = starts[u]
-            h = len(u) if block is None else block.h
-            self.leaves[u] = self._fit_state(u, r, h, block, self.notes)
+            if u not in self._memo.initial:
+                block, notes = starts[u], []
+                h = len(u) if block is None else block.h
+                st = self._fit_state(u, r, h, block, notes)
+                self._memo.initial[u] = (st, tuple(notes))
+            self.leaves[u], notes = self._memo.initial[u]
+            self.notes.extend(notes)
 
     def _design(self, u: Context, rows: np.ndarray) -> LeafDesign:
         return glm._design(self.index, u, rows, len(u), self.p)
 
     def _fit(self, u: Context, rows: np.ndarray, h: int,
              start: ParamBlock | None = None) -> glm.MleResult:
-        """``fit_leaf`` of leaf ``u`` on ``rows`` through the engine's fit
-        cache, keyed by the rows; the design is gathered only on a miss.
-
-        A failure is stored too, as the ``NotConverged`` iterations and
-        message, and a hit on it raises a fresh ``NotConverged`` with both.
-        The exception itself is not kept: its traceback would hold the
-        engine.
-        """
-        warm = None if start is None else (
-            start.alpha.tobytes(), start.beta.tobytes(), start.beta.shape
-        )
-        key = (rows.tobytes(), h, warm)
-        hit = self._fit_cache.get(key)
-        if hit is None:
-            try:
-                hit = fit_leaf(self._design(u, rows), h, start=start)
-            except NotConverged as exc:
-                self._fit_cache[key] = (exc.iterations, str(exc))
-                raise
-            self._fit_cache[key] = hit
-        if isinstance(hit, tuple):
-            raise NotConverged(*hit)
-        return hit
+        return fit_leaf(self._design(u, rows), h, start=start)
 
     def _fit_state(self, u: Context, rows: np.ndarray, h: int,
                    start: ParamBlock | None, notes: list[str]) -> _LeafState:
@@ -483,10 +476,10 @@ class _Engine:
         """The memoized outcome of the test on ``tested``, computed by
         ``run(notes)`` on a miss; its notes are appended to this engine's."""
         key = tuple(map(id, tested))
-        out = self._outcomes.get(key)
+        out = self._memo.outcomes.get(key)
         if out is None:
             notes: list[str] = []
-            out = self._outcomes[key] = _Outcome(tested, *run(notes), tuple(notes))
+            out = self._memo.outcomes[key] = _Outcome(tested, *run(notes), tuple(notes))
         self.notes.extend(out.notes)
         return out
 
@@ -665,7 +658,7 @@ def _seeded_engine(
     horizon: int | None,
 ) -> _Engine:
     """Engine holding ``leaves`` of ``tree``, each refitted from its block."""
-    glm._check_alphabet(tree, data)
+    glm._check_data_fits_tree(tree, data)
     return _Engine(
         data, config or FitConfig(), p=tree.p, horizon=horizon,
         structure=set(tree.nodes), seed={c: tree.block(c) for c in leaves},
@@ -839,25 +832,22 @@ def select_tuning(
 
     Grid points share one ``HistoryIndex`` of the data, built once per call:
     every s grows its tree from the index's counts, and every leaf takes its
-    rows and its design from it.  They also share leaf fits within one call,
-    keyed by a regression's rows (its transition times, in design-row
-    order), lag count and warm start: one fitted on the same rows is fitted
-    once and reused, and its design is gathered only for that first fit.  A
-    fit that does not converge is shared the same way, as its iteration
-    count and message.  The gamma values of one s share each test's outcome:
-    its statistic, p-value, reduced or merged fit and notes do not depend on
-    gamma, so they are memoized by the tested leaf states, which the grid
-    points of one s share, and each grid point only compares its own level
-    with the p-value.  Across s, the p-values of repeated tests come from the
-    memo of ``chi2_sf``.  So every candidate equals a separate ``fit`` at
-    that (s, gamma) and horizon.  When no s can grow a tree, the data are at
-    fault and ``DataTooShort`` is raised.
+    rows and its design from it.  They also share one memo per call.  Under
+    the shared horizon a leaf of several maximal trees has the same rows in
+    each, so it is fitted once, and its state and notes serve every s.  A
+    test's statistic, p-value, reduced or merged fit and notes do not depend
+    on gamma, so they are memoized by the tested leaf states, and every grid
+    point that reaches the same states only compares its own level with the
+    p-value.  So each test runs once per call, and every candidate equals a
+    separate ``fit`` at that (s, gamma) and horizon.  When no s can grow a
+    tree, the data are at fault and ``DataTooShort`` is raised.
     """
     base = config or FitConfig()
     grid = _grid_configs(s_grid, gamma_grid, base)
     p_eff = _infer_p(data, p)
     index = HistoryIndex(data)
-    _check_alphabet(index, p_eff, min(grid) * (1 + data.d))  # once, not per s
+    # an unused state fails every s; this raises one error that names it once
+    _check_alphabet(index, p_eff, min(grid) * (1 + data.d))
     failures: list[str] = []
     structures: dict[int, set[Context]] = {}
     for s in grid:
@@ -868,7 +858,7 @@ def select_tuning(
     if not structures:
         raise DataTooShort("; ".join(failures))
     horizon = max(max(len(u) for u in st) for st in structures.values())
-    fit_cache: dict = {}
+    memo = _Memo()
     best_key = None
     best: tuple[FitConfig, FitReport] | None = None
     candidates: list[TuningCandidate] = []
@@ -876,7 +866,7 @@ def select_tuning(
         try:
             base_engine = _Engine(
                 data, base.replace(s=s), p=p_eff, horizon=horizon, structure=structure,
-                fit_cache=fit_cache, index=index,
+                memo=memo, index=index,
             )
         except VlmcxError as exc:
             failures.append(f"s={s}: {exc}")

@@ -436,6 +436,7 @@ class HistoryIndex:
         self.data = data
         n = data.n
         self._alphabet, self._symbols = np.unique(data.states, return_inverse=True)
+        self._alphabet.setflags(write=False)
         # per level: positions by (code, t), each code's key, its slice offsets
         self._pos = [np.arange(n + 1, dtype=np.int32)]
         self._keys = [np.zeros(1, dtype=np.int64)]
@@ -443,6 +444,11 @@ class HistoryIndex:
         self._code_at = np.zeros(n + 1, dtype=np.int32)  # deepest level's code by t
         self._codes: dict[Context, int | None] = {ROOT: 0}
         self._lagged: np.ndarray | None = None
+
+    @property
+    def alphabet(self) -> np.ndarray:
+        """The distinct state labels of the data, ascending; read-only."""
+        return self._alphabet
 
     def _level(self, k: int) -> int:
         """Build the levels up to ``k``; returns ``k``."""

@@ -331,7 +331,9 @@ def transition_probability(block: ParamBlock, recent_covariates, target: int) ->
 # -- designs and sequence likelihood ------------------------------------------
 
 
-def _check_alphabet(tree: ContextTree, data: Dataset) -> None:
+def _check_data_fits_tree(tree: ContextTree, data: Dataset) -> None:
+    """``AlphabetMismatch`` unless the data have the tree's d and no state
+    outside its ``0 .. p-1``."""
     if data.d != tree.d:
         raise AlphabetMismatch(f"data has d={data.d}, tree d={tree.d}")
     if data.states.max(initial=0) >= tree.p:
@@ -354,7 +356,7 @@ def build_design(
     u = tuple(int(s) for s in u)
     if u not in tree.nodes:
         raise DataError(f"unknown context {context_label(u)}")
-    _check_alphabet(tree, data)
+    _check_data_fits_tree(tree, data)
     if h is None:
         block = tree.nodes.get(u)
         h = block.h if block is not None else len(u)
@@ -392,7 +394,7 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
     ``HistoryTooShort``, or ``MalformedModel`` for a missing branch or a
     leaf without parameters.
     """
-    _check_alphabet(tree, data)
+    _check_data_fits_tree(tree, data)
     horizon = tree.order if horizon is None else _integer("horizon", horizon, 0)
     states, cov = data.states, data.covariates
     first = data.n  # earliest failing time point; data.n when none fails
@@ -475,18 +477,14 @@ def fit_leaf(
     """
     if design.m == 0:
         raise DataError(f"no transitions assigned to {context_label(design.context)}")
-    X = design.X
-    if h is None:
-        h = design.h
-    elif h != design.h:
-        if not 0 <= h <= design.h:
-            raise ValueError(f"h={h} outside [0, {design.h}]")
-        X = X[:, : 1 + h * design.d]
-    kernel = _kernel(X, design.y, design.p)
+    if h is not None and h != design.h:
+        design = design.truncated(h)
+    h = design.h
+    kernel = _kernel(design.X, design.y, design.p)
     if start is not None:
         theta = _theta_from_block(start, h, design.d).ravel()
     else:
-        theta = np.zeros((design.p - 1) * X.shape[1])
+        theta = np.zeros((design.p - 1) * design.X.shape[1])
     iterations = 0
     separated = False
     with np.errstate(all="ignore"):
