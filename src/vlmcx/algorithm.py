@@ -19,13 +19,14 @@ log-likelihoods, tests, and information criteria comparable across trees.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -221,39 +222,59 @@ def _check_alphabet(index: HistoryIndex, p: int, threshold: int) -> None:
         )
 
 
-def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Context]:
-    """Deepest prefix-closed node set satisfying the sibling count rule.
+def _grow_structure(index: HistoryIndex, p: int, s_values: Sequence[int],
+                    cap: int) -> dict[int, set[Context] | DataTooShort]:
+    """Deepest prefix-closed node set satisfying the sibling count rule for
+    each s of ``s_values``, or the ``DataTooShort`` that s fails with.
 
     A sibling group at depth k enters only when every member occurs at least
     ``s * (1 + d*k)`` times, so each candidate regression keeps ``s``
-    observations per parameter.  Each level's counts come from the index at
-    once.  A state of ``0 .. p-1`` that never occurs fails before any count,
-    since no sibling group can then clear the rule.
+    observations per parameter.  A larger s keeps a subset of a smaller s's
+    nodes, so one walk of the smallest growing s's levels serves every s:
+    each level's counts come from the index at once, and each node records
+    how many of the growing s values keep it.  An s fails before any count
+    when n cannot support depth 1, or when a state of ``0 .. p-1`` never
+    occurs, since no sibling group can then clear the rule.
     """
     data = index.data
     n, d = data.n, data.d
-    if n <= s * (1 + d):
-        raise DataTooShort(
-            f"n={n} cannot support depth 1 with s={s}, d={d} "
-            f"(need more than {s * (1 + d)} observations)"
-        )
-    _check_alphabet(index, p, s * (1 + d))
+    out: dict[int, set[Context] | DataTooShort] = {}
+    grow: list[int] = []  # ascending
+    for s in sorted(set(s_values)):
+        if n <= s * (1 + d):
+            out[s] = DataTooShort(
+                f"n={n} cannot support depth 1 with s={s}, d={d} "
+                f"(need more than {s * (1 + d)} observations)"
+            )
+            continue
+        try:
+            _check_alphabet(index, p, s * (1 + d))
+        except DataTooShort as exc:
+            out[s] = exc
+            continue
+        grow.append(s)
     cap_eff = min(cap, int(math.floor(math.log2(n))))
-    nodes: set[Context] = {()}
-    level: list[Context] = [()]
+    kept: dict[Context, int] = {(): len(grow)}  # node -> how many of ``grow`` keep it
+    level: list[Context] = [()] if grow else []
     for depth in range(1, cap_eff + 1):
-        threshold = s * (1 + d * depth)
-        supported = (index.child_counts(level, p) >= threshold).all(axis=1)
-        next_level = [u + (w,) for u, ok in zip(level, supported) if ok for w in range(p)]
-        nodes.update(next_level)
-        if not next_level:
+        if not level:
             break
+        thresholds = [s * (1 + d * depth) for s in grow]
+        least = index.child_counts(level, p).min(axis=1).tolist()
+        next_level: list[Context] = []
+        for u, m in zip(level, least):
+            j = min(kept[u], bisect.bisect_right(thresholds, m))
+            if j:
+                for w in range(p):
+                    kept[u + (w,)] = j
+                    next_level.append(u + (w,))
         level = next_level
-    if len(nodes) == 1:
-        raise DataTooShort(
+    for i, s in enumerate(grow):
+        nodes = {u for u, j in kept.items() if j > i}
+        out[s] = nodes if len(nodes) > 1 else DataTooShort(
             f"no depth-1 sibling group reaches {s * (1 + d)} occurrences each"
         )
-    return nodes
+    return {s: out[s] for s in s_values}
 
 
 # -- the pruning engine ----------------------------------------------------------
@@ -274,23 +295,50 @@ class _Outcome:
     ``test`` is the LRT (None for a merge that frees no parameters),
     ``state`` the leaf state a non-rejection installs and ``notes`` what
     the test writes.  ``tested`` holds the states the outcome is keyed on,
-    so their ids stay unique while it lives.
+    so their ids stay unique while it lives.  ``records`` holds the audit
+    record of each (test kind, action) the outcome has met, built once and
+    shared by every engine that reaches it.
     """
 
     tested: tuple[_LeafState, ...]
     test: LrtResult | None
     state: _LeafState
     notes: tuple[str, ...]
+    records: dict[tuple[str, str], AuditRecord] = field(default_factory=dict)
+
+    def record(self, kind: str, contexts: tuple[Context, ...], lag: int | None,
+               action: str) -> AuditRecord:
+        """The audit record of this test under ``kind`` with ``action``; a
+        tested state belongs to one context, so ``contexts`` and ``lag`` are
+        the same at every call."""
+        rec = self.records.get((kind, action))
+        if rec is None:
+            test = self.test
+            rec = self.records[kind, action] = AuditRecord(
+                kind, contexts, lag, test.statistic, test.df, test.p_value, action
+            )
+        return rec
 
 
 @dataclass
 class _Memo:
     """Work shared by engines: each initial leaf state with the notes its fit
     wrote, by context (one horizon gives a context the same rows in every
-    maximal tree), and each test's outcome, by the ids of the tested states."""
+    maximal tree), each test's outcome, by the ids of the tested states, and
+    each leaf's full-depth design, by the id of its rows, which the entry
+    holds."""
 
     initial: dict[Context, tuple[_LeafState, tuple[str, ...]]] = field(default_factory=dict)
     outcomes: dict[tuple[int, ...], _Outcome] = field(default_factory=dict)
+    designs: dict[int, tuple[np.ndarray, LeafDesign]] = field(default_factory=dict)
+
+
+class _Scores(NamedTuple):
+    loglik: float
+    aic: float
+    bic: float
+    n_alpha: int
+    n_beta: int
 
 
 class _Engine:
@@ -304,8 +352,9 @@ class _Engine:
     Rows, counts and designs come from one ``HistoryIndex`` of the data,
     built here unless ``index`` shares one.  A leaf's rows are its window
     rows past the horizon, ascending; a merged parent's are its children's
-    rows stacked in child order.  A design is gathered from the index, at
-    the leaf's full depth, for each fit.
+    rows stacked in child order.  A leaf's design is gathered from the index
+    at its full depth once per rows array and kept in the memo; a fit with
+    fewer lags reads a truncated view of it.
 
     A leaf's initial state and a test's outcome (statistic, p-value, reduced
     or merged fit, notes) do not depend on gamma, so each is computed once
@@ -337,7 +386,10 @@ class _Engine:
         self.d = data.d
         self.index = HistoryIndex(data) if index is None else index
         if structure is None:
-            structure = _grow_structure(self.index, self.p, config.s, config.max_order_cap)
+            structure = _grow_structure(self.index, self.p, [config.s],
+                                        config.max_order_cap)[config.s]
+            if isinstance(structure, DataTooShort):
+                raise structure
         self.order = max(len(u) for u in structure)
         self.horizon = self.order if horizon is None else _integer("horizon", horizon, 0)
         if self.horizon < self.order:
@@ -355,32 +407,37 @@ class _Engine:
 
     def _fit_initial(self, structure: set[Context],
                      seed: dict[Context, ParamBlock] | None) -> None:
-        """Fit every leaf of ``structure`` with all its lags from scratch, or
-        each seeded leaf at its block's lag count from the block, unless the
-        memo holds the leaf's state."""
+        """Fit every leaf of ``structure`` (the nodes that prefix no other)
+        with all its lags from scratch, or each seeded leaf at its block's lag
+        count from the block, unless the memo holds the leaf's state."""
         if seed is None:
-            tree = ContextTree(p=self.p, d=self.d, nodes=dict.fromkeys(structure))
-            starts = dict.fromkeys(tree.leaves())
+            parents = {u[:-1] for u in structure if u}
+            starts = dict.fromkeys(u for u in structure if u not in parents)
         else:
             starts = seed
-        rows = {u: self.index.rows(u, self.horizon) for u in sorted(starts)}
-        assigned = sum(r.size for r in rows.values())
+        initial = self._memo.initial
+        for u in sorted(starts):
+            if u not in initial:
+                block, notes = starts[u], []
+                h = len(u) if block is None else block.h
+                st = self._fit_state(u, self.index.rows(u, self.horizon), h, block, notes)
+                initial[u] = (st, tuple(notes))
+            self.leaves[u], notes = initial[u]
+            self.notes.extend(notes)
+        assigned = sum(st.rows.size for st in self.leaves.values())
         if seed is None and assigned != self.data.n - self.horizon:
             raise VlmcxError(
                 f"internal error: {assigned} of {self.data.n - self.horizon} "
                 f"transitions assigned to leaves"
             )
-        for u, r in rows.items():
-            if u not in self._memo.initial:
-                block, notes = starts[u], []
-                h = len(u) if block is None else block.h
-                st = self._fit_state(u, r, h, block, notes)
-                self._memo.initial[u] = (st, tuple(notes))
-            self.leaves[u], notes = self._memo.initial[u]
-            self.notes.extend(notes)
 
     def _design(self, u: Context, rows: np.ndarray) -> LeafDesign:
-        return glm._design(self.index, u, rows, len(u), self.p)
+        """Leaf ``u``'s full-depth design on ``rows``, gathered once per memo."""
+        entry = self._memo.designs.get(id(rows))
+        if entry is None:
+            design = glm._design(self.index, u, rows, len(u), self.p)
+            entry = self._memo.designs[id(rows)] = (rows, design)
+        return entry[1]
 
     def _fit(self, u: Context, rows: np.ndarray, h: int,
              start: ParamBlock | None = None) -> glm.MleResult:
@@ -492,12 +549,7 @@ class _Engine:
         dropped = not test.p_value <= gamma_eff  # a NaN test drops
         if dropped:
             self.leaves[u] = out.state
-        self.audit.append(
-            AuditRecord(
-                kind, (u,), st.fit.params.h, test.statistic, test.df, test.p_value,
-                "drop" if dropped else "keep",
-            )
-        )
+        self.audit.append(out.record(kind, (u,), st.fit.params.h, "drop" if dropped else "keep"))
         return dropped
 
     def _lag_drop_outcome(self, u: Context, st: _LeafState,
@@ -538,13 +590,8 @@ class _Engine:
         if test is None:
             return False
         merged = test.p_value >= gamma_eff
-        self.audit.append(
-            AuditRecord(
-                "sibling_merge", tuple(children), None,
-                test.statistic, test.df, test.p_value,
-                "merge" if merged else "no_merge",
-            )
-        )
+        self.audit.append(out.record("sibling_merge", tuple(children), None,
+                                     "merge" if merged else "no_merge"))
         if merged:
             for c in children:
                 del self.leaves[c]
@@ -580,16 +627,20 @@ class _Engine:
         leaves = {u: st.fit.params for u, st in self.leaves.items()}
         return ContextTree(p=self.p, d=self.d, nodes=_with_ancestors(leaves))
 
-    def report(self) -> FitReport:
-        tree = self.final_tree()
-        items = sorted(self.leaves.items())
-        loglik = float(sum(st.fit.loglik for _, st in items))
-        n_alpha = len(items)
-        n_beta = sum((self.p - 1) * self.d * st.fit.params.h for _, st in items)
+    def scores(self) -> _Scores:
+        """The criteria of the current leaves, summed in context order."""
+        fits = [self.leaves[u].fit for u in sorted(self.leaves)]
+        loglik = float(sum(f.loglik for f in fits))
+        n_alpha = len(fits)
+        n_beta = sum((self.p - 1) * self.d * f.params.h for f in fits)
         k = n_beta + (n_alpha * (self.p - 1) if self.config.ic_include_intercepts else 0)
-        n_eff = self.data.n - self.horizon
         aic = -2.0 * loglik + 2.0 * k
-        bic = -2.0 * loglik + k * math.log(n_eff)
+        bic = -2.0 * loglik + k * math.log(self.data.n - self.horizon)
+        return _Scores(loglik, aic, bic, n_alpha, n_beta)
+
+    def report(self) -> FitReport:
+        sc = self.scores()
+        items = sorted(self.leaves.items())
         leaf_stats = [
             LeafDiagnostics(
                 context=u,
@@ -603,13 +654,13 @@ class _Engine:
             for u, st in items
         ]
         return FitReport(
-            tree=tree,
-            loglik=loglik,
-            aic=aic,
-            bic=bic,
-            n_alpha=n_alpha,
-            n_beta=n_beta,
-            n_eff=n_eff,
+            tree=self.final_tree(),
+            loglik=sc.loglik,
+            aic=sc.aic,
+            bic=sc.bic,
+            n_alpha=sc.n_alpha,
+            n_beta=sc.n_beta,
+            n_eff=self.data.n - self.horizon,
             horizon=self.horizon,
             config=self.config,
             leaf_stats=leaf_stats,
@@ -831,16 +882,20 @@ def select_tuning(
     any tree is grown, so an invalid s or gamma raises ``DataError``.
 
     Grid points share one ``HistoryIndex`` of the data, built once per call:
-    every s grows its tree from the index's counts, and every leaf takes its
-    rows and its design from it.  They also share one memo per call.  Under
-    the shared horizon a leaf of several maximal trees has the same rows in
-    each, so it is fitted once, and its state and notes serve every s.  A
-    test's statistic, p-value, reduced or merged fit and notes do not depend
-    on gamma, so they are memoized by the tested leaf states, and every grid
-    point that reaches the same states only compares its own level with the
-    p-value.  So each test runs once per call, and every candidate equals a
-    separate ``fit`` at that (s, gamma) and horizon.  When no s can grow a
-    tree, the data are at fault and ``DataTooShort`` is raised.
+    one walk of its counts grows the tree of every s, and every leaf takes
+    its rows and its design from it.  They also share one memo per call.
+    Under the shared horizon a leaf of several maximal trees has the same
+    rows in each, so it is fitted once, and its state and notes serve every
+    s.  Each leaf's design is gathered once per rows array and serves its
+    first fit, its lag-drop fits and any failed-fit score.  A test's
+    statistic, p-value, reduced or merged fit, notes and audit records do
+    not depend on gamma, so they are memoized by the tested leaf states, and
+    every grid point that reaches the same states only compares its own
+    level with the p-value.  So each test runs once per call, and every
+    candidate equals a separate ``fit`` at that (s, gamma) and horizon.
+    Grid points are ranked by their scores alone; only the winner's report
+    is built.  When no s can grow a tree, the data are at fault and
+    ``DataTooShort`` is raised.
     """
     base = config or FitConfig()
     grid = _grid_configs(s_grid, gamma_grid, base)
@@ -850,17 +905,17 @@ def select_tuning(
     _check_alphabet(index, p_eff, min(grid) * (1 + data.d))
     failures: list[str] = []
     structures: dict[int, set[Context]] = {}
-    for s in grid:
-        try:
-            structures[s] = _grow_structure(index, p_eff, s, base.max_order_cap)
-        except DataTooShort as exc:
-            failures.append(f"s={s}: {exc}")
+    for s, grown in _grow_structure(index, p_eff, list(grid), base.max_order_cap).items():
+        if isinstance(grown, DataTooShort):
+            failures.append(f"s={s}: {grown}")
+        else:
+            structures[s] = grown
     if not structures:
         raise DataTooShort("; ".join(failures))
     horizon = max(max(len(u) for u in st) for st in structures.values())
     memo = _Memo()
     best_key = None
-    best: tuple[FitConfig, FitReport] | None = None
+    best: _Engine | None = None
     candidates: list[TuningCandidate] = []
     for s, structure in structures.items():
         try:
@@ -875,20 +930,16 @@ def select_tuning(
             try:
                 engine = base_engine.clone(cfg)
                 engine.run()
-                rep = engine.report()
+                sc = engine.scores()
             except VlmcxError as exc:
                 failures.append(f"s={s}, gamma={cfg.gamma}: {exc}")
                 continue
-            candidates.append(
-                TuningCandidate(
-                    s=s, gamma=cfg.gamma, bic=rep.bic, aic=rep.aic, loglik=rep.loglik,
-                    n_alpha=rep.n_alpha, n_beta=rep.n_beta,
-                )
-            )
-            key = (rep.bic, rep.n_alpha, cfg.gamma, s)
+            candidates.append(TuningCandidate(s=s, gamma=cfg.gamma, **sc._asdict()))
+            key = (sc.bic, sc.n_alpha, cfg.gamma, s)
             if best_key is None or key < best_key:
                 best_key = key
-                best = (cfg, rep)
+                best = engine
     if best is None:
         raise AllFitsFailed("; ".join(failures))
-    return TuningResult(config=best[0], report=best[1], candidates=candidates, failures=failures)
+    return TuningResult(config=best.config, report=best.report(), candidates=candidates,
+                        failures=failures)

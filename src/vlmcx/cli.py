@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,16 +107,30 @@ def _transform(values: np.ndarray, how: str, column: str) -> tuple[np.ndarray, i
         return np.log(values[1:] / values[:-1]), 1
 
 
+def _first_bad_row(data_rows: list[list[str]], pos: int) -> int:
+    """File line of the first data row whose cell ``pos`` is missing or not a
+    number (the header is line 1)."""
+    for r, row in enumerate(data_rows):
+        try:
+            float(row[pos])
+        except (IndexError, ValueError):
+            return r + 2
+    raise AssertionError("every cell parses")
+
+
 def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
     """Read a CSV (comma separated, headers, ``.`` decimals) into a Dataset.
 
-    Transformed columns stay aligned on their source rows; differencing
-    transforms shorten the front, and every column is cut to the common
-    range.  The target column must come out as non-negative integers, and
-    every covariate column as finite values.
+    A byte-order mark before the header is skipped, and so are empty lines
+    at the end of the file; an empty line between data rows is a
+    non-numeric cell.  Each column the spec names must appear once in the
+    header.  Transformed columns stay aligned on their source rows;
+    differencing transforms shorten the front, and every column is cut to
+    the common range.  The target column must come out as non-negative
+    integers, and every covariate column as finite values.
     """
     try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except OSError as exc:
@@ -123,22 +138,25 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
     if not rows:
         raise DataError(f"{csv_path!r} is empty")
     header, data_rows = rows[0], rows[1:]
-    index = {name: i for i, name in enumerate(header)}
+    while data_rows and not data_rows[-1]:
+        data_rows.pop()
     needed = [spec.target] + list(spec.covariates)
     for col in needed:
-        if col.column not in index:
+        count = header.count(col.column)
+        if count == 0:
             raise MissingColumn(f"column {col.column!r} not in {csv_path!r}")
+        if count > 1:
+            raise DataError(
+                f"column {col.column!r} appears {count} times in the header of {csv_path!r}"
+            )
     raw: dict[str, np.ndarray] = {}
     for col in needed:
-        pos = index[col.column]
-        values = np.empty(len(data_rows))
-        for r, row in enumerate(data_rows):
-            cell = row[pos].strip() if pos < len(row) else ""
-            try:
-                values[r] = float(cell)
-            except ValueError:
-                raise NonNumericCell(r + 2, col.column) from None
-        raw[col.column] = values
+        pos = header.index(col.column)
+        cells = map(operator.itemgetter(pos), data_rows)
+        try:
+            raw[col.column] = np.fromiter(map(float, cells), float, len(data_rows))
+        except (IndexError, ValueError):
+            raise NonNumericCell(_first_bad_row(data_rows, pos), col.column) from None
     transformed: dict[str, tuple[np.ndarray, int]] = {}
     for col in needed:
         transformed[col.column] = _transform(raw[col.column], col.transform, col.column)

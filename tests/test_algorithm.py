@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vlmcx
 from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock, algorithm
@@ -189,6 +191,33 @@ class TestMaximalTree:
         with pytest.raises((DataTooShort, AllFitsFailed), match=message):
             entry(Dataset(states=states, covariates=covariates))
         assert calls == []
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        p=st.integers(2, 3),
+        d=st.integers(0, 2),
+        states=st.lists(st.integers(0, 2), min_size=1, max_size=300),
+        s_grid=st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True),
+        cap=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_walk_grows_each_s_as_alone(self, p, d, states, s_grid, cap, seed):
+        # one walk for a whole s grid gives each s the node set, or the
+        # DataTooShort message, that growing it alone gives, and the node
+        # sets match the brute-force rule
+        states = np.array([min(v, p - 1) for v in states])
+        covariates = np.random.default_rng(seed).normal(size=(states.size, d))
+        data = Dataset(states=states, covariates=covariates)
+        index = HistoryIndex(data)
+        together = algorithm._grow_structure(index, p, s_grid, cap)
+        assert list(together) == s_grid
+        for s in s_grid:
+            alone = algorithm._grow_structure(HistoryIndex(data), p, [s], cap)[s]
+            if isinstance(alone, DataTooShort):
+                assert type(together[s]) is DataTooShort
+                assert str(together[s]) == str(alone)
+            else:
+                assert together[s] == alone == grow_oracle(data, p, s, cap)
 
 
 class TestFit:
@@ -656,18 +685,19 @@ class TestSelectTuning:
 
     @staticmethod
     def tune_recording_reports(data, base, monkeypatch):
-        """``select_tuning`` at ``p=2`` with every grid point's report kept."""
-        reports = []
-        engine_report = algorithm._Engine.report
+        """``select_tuning`` at ``p=2`` and the report of every grid point,
+        built after the call from the engine that ran it."""
+        clones = []
+        engine_clone = algorithm._Engine.clone
 
-        def recording_report(engine):
-            reports.append(engine_report(engine))
-            return reports[-1]
+        def recording_clone(engine, config):
+            clones.append(engine_clone(engine, config))
+            return clones[-1]
 
-        monkeypatch.setattr(algorithm._Engine, "report", recording_report)
+        monkeypatch.setattr(algorithm._Engine, "clone", recording_clone)
         result = select_tuning(data, config=base, p=2)
-        monkeypatch.setattr(algorithm._Engine, "report", engine_report)
-        return result, reports
+        monkeypatch.setattr(algorithm._Engine, "clone", engine_clone)
+        return result, [engine.report() for engine in clones]
 
     @staticmethod
     def assert_points_match_fits(data, base, result, reports):
@@ -729,6 +759,53 @@ class TestSelectTuning:
         base = FitConfig(ic_include_intercepts=True, bonferroni=True)
         result, reports = self.tune_recording_reports(data, base, monkeypatch)
         self.assert_points_match_fits(data, base, result, reports)
+
+    @pytest.mark.parametrize("spec, n", [("model2", 1000), ("model1", 2000), ("tri", 3000)])
+    @pytest.mark.parametrize("entry", ["select_tuning", "fit"])
+    def test_each_design_is_gathered_once_per_call(self, spec, n, entry, monkeypatch):
+        # a leaf's initial fit, its lag-drop fits and any failed-fit score
+        # read one full-depth design per (context, rows)
+        gathered = []
+        design = algorithm.glm._design
+
+        def spy(index, u, rows, h, p):
+            gathered.append((u, rows.tobytes()))
+            return design(index, u, rows, h, p)
+
+        monkeypatch.setattr(algorithm.glm, "_design", spy)
+        model = tri_model() if spec == "tri" else vlmcx.builtin_model(spec)
+        data = vlmcx.generate(model, n, seed=1000000)
+        fits = []
+
+        def counting_fit_leaf(design, h=None, **kwargs):
+            fits.append(h)
+            return fit_leaf(design, h, **kwargs)
+
+        monkeypatch.setattr("vlmcx.algorithm.fit_leaf", counting_fit_leaf)
+        getattr(algorithm, entry)(data)
+        assert len(gathered) == len(set(gathered)) > 0
+        assert len(fits) > len(gathered)  # lag-drop fits reuse the leaf's design
+
+    def test_audit_records_are_built_once_per_outcome(self, monkeypatch):
+        # the grid points that reach one test outcome with one action share
+        # its audit record
+        built, reached, appended = [], set(), []
+        record = algorithm._Outcome.record
+
+        def spy_record(out, kind, contexts, lag, action):
+            reached.add((id(out), kind, action))
+            appended.append(kind)
+            return record(out, kind, contexts, lag, action)
+
+        def spy_audit_record(*args):
+            built.append(args)
+            return AuditRecord(*args)
+
+        monkeypatch.setattr(algorithm._Outcome, "record", spy_record)
+        monkeypatch.setattr(algorithm, "AuditRecord", spy_audit_record)
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
+        select_tuning(data)
+        assert len(built) == len(reached) < len(appended)
 
     def test_each_test_runs_once_per_grid(self, monkeypatch):
         # the gamma values of one s share each test's outcome, so no LRT

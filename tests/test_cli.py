@@ -122,6 +122,38 @@ class TestIngest:
         assert err.value.row == 4
         assert err.value.column == "sp500"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark, here
+        # right before a column the spec names
+        text = "".join(line.split(",", 1)[-1] for line in SIX_ROWS.splitlines(True))
+        plain = ingest(write(tmp_path, "plain.csv", text), IngestSpec.from_dict(HAND_SPEC))
+        marked = ingest(write(tmp_path, "bom.csv", "\ufeff" + text),
+                        IngestSpec.from_dict(HAND_SPEC))
+        np.testing.assert_array_equal(marked.states, plain.states)
+        np.testing.assert_array_equal(marked.covariates, plain.covariates)
+
+    def test_repeated_needed_column_is_named(self, tmp_path):
+        csv_path = write(tmp_path, "dup.csv", SIX_ROWS.replace("date,", "hsi,", 1))
+        with pytest.raises(DataError, match=r"column 'hsi' appears 2 times in the header"):
+            ingest(csv_path, IngestSpec.from_dict(HAND_SPEC))
+        # a repeated column the spec does not name is not read
+        text = SIX_ROWS.replace("sp500\n", "sp500,date\n").replace(".0\n", ".0,d\n")
+        assert ingest(write(tmp_path, "dup.csv", text), IngestSpec.from_dict(HAND_SPEC)).n == 5
+
+    def test_empty_lines_at_the_end_are_ignored(self, tmp_path):
+        plain = ingest(write(tmp_path, "six.csv", SIX_ROWS), IngestSpec.from_dict(HAND_SPEC))
+        padded = ingest(write(tmp_path, "pad.csv", SIX_ROWS + "\n\r\n"),
+                        IngestSpec.from_dict(HAND_SPEC))
+        np.testing.assert_array_equal(padded.states, plain.states)
+        np.testing.assert_array_equal(padded.covariates, plain.covariates)
+
+    def test_empty_line_inside_the_data_names_its_row(self, tmp_path):
+        broken = SIX_ROWS.replace("d3,0.1,99.0\n", "d3,0.1,99.0\n\n")
+        with pytest.raises(NonNumericCell) as err:
+            ingest(write(tmp_path, "gap.csv", broken + "\n"), IngestSpec.from_dict(HAND_SPEC))
+        # lines: header 1, d1..d3 2..4, the empty line 5
+        assert (err.value.row, err.value.column) == (5, "hsi")
+
     def test_nothing_left_after_transform(self, tmp_path):
         csv_path = write(tmp_path, "one.csv", "hsi,sp500\n0.5,100.0\n")
         with pytest.raises(EmptyAfterTransform):
