@@ -135,6 +135,17 @@ BLOCK_ROWS = 8192
 HOT_VISITS = 2
 HOT_SPACING = 64
 
+# A tree of at most SCAN_SPAN histories (p ** order) resolves its chain in
+# arrays, composing its per-row code maps SCAN_STRIDE rows at a time (see
+# ``generate``).  In 5000-step calls, timed by process CPU (median of 9
+# alternating rounds), the scan took 0.37-0.61 of the step loop's time on
+# the four models of the simulate_score workload and 0.60-1.00 on full trees
+# and combs of span 8 to 64 with 6 to 64 leaves, but 1.05 on a full tree of
+# depth 1 over 32 states, and 1.25 and 2.0 on binary combs of span 128 and
+# 256.  Strides of 16 to 64 rows timed alike on the four models.
+SCAN_SPAN = 64
+SCAN_STRIDE = 32
+
 
 def _p_one(z: float) -> float:
     """P(state 1) of a binary step with linear predictor ``z``; 0.0 where
@@ -168,11 +179,11 @@ def _band(alpha: np.ndarray, bflat: np.ndarray, width: int, xmax: float, p: int)
 
 
 def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
-               lo: int, i: int, hi: int, binary: bool) -> list:
-    """One covariate leaf's states on rows ``i..hi-1``, behind ``i - lo``
-    placeholders so that row ``r`` sits at ``r - lo``.  A placeholder, and a
-    row whose state the block cannot vouch for, holds -1; the visit of such
-    a row draws it by the per-step law.
+               lo: int, i: int, hi: int, binary: bool) -> np.ndarray:
+    """One covariate leaf's states on rows ``i..hi-1`` as an int array,
+    behind ``i - lo`` placeholders so that row ``r`` sits at ``r - lo``.  A
+    placeholder, and a row whose state the block cannot vouch for, holds
+    -1; the caller draws such a row by the per-step law.
 
     One product gives the linear predictors of every row, state-major:
     ``bflat @ lagged[i:hi, :width].T + alpha``.  It sums in another order
@@ -227,7 +238,122 @@ def _hot_block(leaf: tuple, lagged: np.ndarray, uniforms: np.ndarray,
         clear = np.logical_and.reduce(np.abs(cum, out=cum) > band, axis=0)
     states = np.full(hi - lo, -1)
     np.copyto(states[i - lo :], drawn, where=clear)
-    return states.tolist()
+    return states
+
+
+def _history(code: int, p: int, eta: int) -> tuple:
+    """The context of history ``code``: its base-``p`` digits, lowest first."""
+    return tuple(code // p**j % p for j in range(eta))
+
+
+def _step_chain(tree: ContextTree, params: dict, lagged: np.ndarray,
+                draws: np.ndarray, binary: bool) -> np.ndarray:
+    """The states of ``generate``, one step at a time: the path of any tree."""
+    p, eta = tree.p, tree.order
+    # the last eta states as base-p digits, the most recent lowest: a step
+    # shifts the digits up, adds its state and drops the digit at p ** eta
+    span = p**eta
+    total = len(draws)
+    uniforms = draws.tolist()
+    leaf_of: dict[int, tuple] = {}
+    states = [0] * total
+    code = 0
+    for lo in range(0, total, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, total)
+        visits = [0] * len(params)
+        hot_rows: list[list | None] = [None] * len(params)
+        for i in range(lo, hi):
+            leaf = leaf_of.get(code)
+            if leaf is None:
+                leaf = leaf_of[code] = params[tree.lookup(_history(code, p, eta))]
+            k, alpha, bflat, width, law, _ = leaf
+            if law is None:
+                hot = hot_rows[k]
+                if hot is None:
+                    seen = visits[k] = visits[k] + 1
+                    if seen >= HOT_VISITS and seen * HOT_SPACING > i - lo:
+                        hot = hot_rows[k] = _hot_block(leaf, lagged, draws, lo, i, hi, binary).tolist()
+                yi = -1 if hot is None else hot[i - lo]
+                if yi < 0:
+                    law = _next_state_law(alpha + bflat @ lagged[i, :width], binary)
+            if law is not None:
+                if binary:
+                    yi = 1 if uniforms[i] < law else 0
+                else:
+                    yi = bisect.bisect_right(law, uniforms[i])
+            states[i] = yi
+            code = (code * p + yi) % span
+    return np.array(states, dtype=np.int64)
+
+
+def _scan_chain(tree: ContextTree, params: dict, lagged: np.ndarray,
+                draws: np.ndarray, binary: bool) -> np.ndarray:
+    """The states of ``generate`` for a tree of at most ``SCAN_SPAN``
+    histories, resolved in arrays a block at a time."""
+    p, eta = tree.p, tree.order
+    span = p**eta
+    total = len(draws)
+    leaves = list(params.values())
+    leaf_of = [params[tree.lookup(_history(c, p, eta))][0] for c in range(span)]
+    # state y takes code c to code shift[c] + y
+    shift = np.arange(span) % (span // p) * p if eta else None
+    states = np.empty(total, dtype=np.int64)
+    code = 0
+    for lo in range(0, total, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, total)
+        rows = hi - lo
+        strides = -(-rows // SCAN_STRIDE)
+        cols = strides * SCAN_STRIDE
+        u = draws[lo:hi]
+        # 1. each leaf's state at every row of the block; the padding
+        # columns past the block hold state 0
+        by_leaf = np.zeros((len(leaves), cols), dtype=np.intp)
+        for leaf in leaves:
+            k, alpha, bflat, width, law, _ = leaf
+            if law is None:
+                y = _hot_block(leaf, lagged, draws, lo, lo, hi, binary)
+                for r in np.flatnonzero(y < 0).tolist():
+                    row_law = _next_state_law(alpha + bflat @ lagged[lo + r, :width], binary)
+                    y[r] = u[r] < row_law if binary else bisect.bisect_right(row_law, u[r])
+            elif binary:
+                y = u < law
+            else:
+                y = np.searchsorted(law, u, side="right")
+            by_leaf[k, :rows] = y
+        if not eta:
+            states[lo:hi] = by_leaf[0, :rows]
+            continue
+        # 2. code c at column t goes to (c', t + 1), flat index c' * cols + t + 1;
+        # built in place, as a fresh temporary of this size costs more than
+        # the arithmetic
+        by_leaf *= cols
+        by_leaf += np.arange(1, cols + 1)
+        step = by_leaf[leaf_of]
+        step += shift[:, np.newaxis] * cols
+        flat = step.ravel()
+        # 3. each stride's map from every code to the code after it, the
+        # true code at each stride's start, then every code of the block;
+        # (index - 1) // cols is the code an index points to
+        ends = step[:, ::SCAN_STRIDE]
+        for _ in range(SCAN_STRIDE - 1):
+            ends = flat.take(ends)
+        ends -= 1
+        ends //= cols
+        starts = []
+        for after in ends.T.tolist():
+            starts.append(code)
+            code = after[code]
+        at = np.arange(0, cols, SCAN_STRIDE) + np.array(starts) * cols
+        chain = np.empty((SCAN_STRIDE, strides), dtype=np.intp)
+        for j in range(SCAN_STRIDE):
+            at = flat.take(at, out=chain[j])
+        codes = chain.T.ravel()[:rows]
+        codes -= 1
+        codes //= cols
+        code = int(codes[-1])
+        # a state is the lowest digit of the code it leads to
+        np.remainder(codes, p, out=states[lo:hi])
+    return states
 
 
 def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset:
@@ -241,45 +367,62 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
     step.  With two states a step gives state 1 when its uniform falls
     below P(state 1); otherwise the uniform inverts the cumulative
     probabilities of states 0..p-1.  Each step's leaf comes from its last
-    ``order`` states, looked up in the tree once per distinct history.  The
-    history is held as one integer whose base-``p`` digits are those states,
-    the most recent in the lowest digit, and only a history not seen before
-    is decoded into the tuple that ``ContextTree.lookup`` walks.  The codes
-    seen are kept in a dict: a table of all ``p ** order`` histories could
-    be far too large.
+    ``order`` states, held as one integer code whose base-``p`` digits are
+    those states, the most recent in the lowest digit.  A leaf without
+    covariate lags has one fixed law.  A binary predictor below about
+    -709.8 gives P(state 1) = 0, so the step gives state 0.  The steps run
+    in blocks of ``BLOCK_ROWS`` rows, on one of two paths picked by the
+    tree's span ``p ** order``; both give the state of the per-step law at
+    every step.
 
-    The steps run in blocks of ``BLOCK_ROWS`` rows.  A leaf without
-    covariate lags has one fixed law.  A covariate leaf computes its law
-    step by step until it turns hot: at least ``HOT_VISITS`` visits in the
-    block, and at least one per ``HOT_SPACING`` steps of the block so far.
-    So a busy leaf goes hot on its second visit, when that visit comes
-    within ``2 * HOT_SPACING`` rows of the block's start, and its first
-    visit is then its only per-step law of the block.  ``_hot_block``
-    draws the state of every remaining row of the block for that leaf from
-    one product of its coefficients with those rows, and its later visits
-    read their row.  The product may round a predictor
+    A tree of at most ``SCAN_SPAN`` histories resolves its chain in arrays
+    (``_scan_chain``), with no Python step per row.  Each leaf first draws
+    its state at every row of the block: a fixed-law leaf with one
+    comparison of the uniforms, a covariate leaf with one ``_hot_block``
+    over the whole block.  Each (code, row) then points to (next code, row
+    + 1).  Following those pointers ``SCAN_STRIDE`` times from every code
+    gives each stride's map of codes, a pointer-jumping scan (Hillis and
+    Steele, Data parallel algorithms, CACM 29(12), 1986); a short Python
+    walk carries the true code across the strides, and ``SCAN_STRIDE``
+    more steps from the true stride starts give every code, whose lowest
+    digit is the state.  This path draws every leaf at every row, visited
+    or not, so its cost grows with the number of covariate leaves, and its
+    table has ``p ** order`` rows per row of the block.
+
+    A larger tree steps one row at a time (``_step_chain``): a table of all
+    its histories could be far too large (10**20 for a comb of order 20
+    over 10 states), so the codes seen are kept in a dict, and only a code
+    not seen before is decoded into the tuple that ``ContextTree.lookup``
+    walks.  A covariate leaf computes its law step by step until it turns
+    hot: at least ``HOT_VISITS`` visits in the block, and at least one per
+    ``HOT_SPACING`` steps of the block so far.  So a busy leaf goes hot on
+    its second visit, when that visit comes within ``2 * HOT_SPACING`` rows
+    of the block's start, and its first visit is then its only per-step
+    law of the block.  ``_hot_block`` draws the state of every remaining
+    row of the block for that leaf from one product of its coefficients
+    with those rows, and its later visits read their row.  A full hot block
+    costs as much as about 60 per-step laws, so a leaf visited less often
+    than once per ``HOT_SPACING`` steps stays on the per-step path, and a
+    tree of many rarely visited leaves still computes many of its laws step
+    by step.
+
+    On both paths the product of a hot block may round a predictor
     differently from the per-step sum, so a row whose uniform lies within a
-    band of its law (``_band``, derived in ``_hot_block``) is left undrawn,
-    and its visit computes the per-step law as a cold step does; such rows
-    are rare unless the coefficients are huge.  Every state is therefore
-    the one the per-step law gives.  A full hot block costs as much as about
-    60 per-step laws, so a leaf visited less often than once per
-    ``HOT_SPACING`` steps stays on the per-step path, and a tree of many
-    rarely visited leaves still computes many of its laws step by step.  A
-    binary predictor below about -709.8 gives P(state 1) = 0, so the step
-    gives state 0.
+    band of its law (``_band``, derived in ``_hot_block``) is left undrawn
+    and takes the per-step law: at its visit on the step loop, and at once,
+    visited or not, in the scan.  Such rows are rare unless the
+    coefficients are huge.
     """
     n = _integer("n", n, 1)
     burn_in = _integer("burn_in", burn_in, 0)
     seed = _integer("seed", seed, 0)
     tree = spec.tree
-    p, d, eta = tree.p, tree.d, tree.order
+    p, d = tree.p, tree.d
     binary = p == 2
     rng = np.random.default_rng(seed)
     total = burn_in + n
     cov = rng.standard_normal((total, d)) if d > 0 else np.zeros((total, 0))
     draws = rng.random(total)
-    uniforms = draws.tolist()
     # row i holds the covariate rows i-1, i-2, ... (zero before the start),
     # so a leaf with h lags reads its first h*d entries
     H = tree.covariate_order
@@ -301,39 +444,9 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
         else:
             fixed, band = _next_state_law(alpha, binary), None
         params[u] = (k, alpha, bflat, width, fixed, band)
-    # the last eta states as base-p digits, the most recent lowest: a step
-    # shifts the digits up, adds its state and drops the digit at p ** eta
-    span = p**eta
-    leaf_of: dict[int, tuple] = {}
-    states = [0] * total
-    code = 0
-    for lo in range(0, total, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, total)
-        visits = [0] * len(params)
-        hot_rows: list[list | None] = [None] * len(params)
-        for i in range(lo, hi):
-            leaf = leaf_of.get(code)
-            if leaf is None:
-                hist = tuple(code // p**j % p for j in range(eta))
-                leaf = leaf_of[code] = params[tree.lookup(hist)]
-            k, alpha, bflat, width, law, _ = leaf
-            if law is None:
-                hot = hot_rows[k]
-                if hot is None:
-                    seen = visits[k] = visits[k] + 1
-                    if seen >= HOT_VISITS and seen * HOT_SPACING > i - lo:
-                        hot = hot_rows[k] = _hot_block(leaf, lagged, draws, lo, i, hi, binary)
-                yi = -1 if hot is None else hot[i - lo]
-                if yi < 0:
-                    law = _next_state_law(alpha + bflat @ lagged[i, :width], binary)
-            if law is not None:
-                if binary:
-                    yi = 1 if uniforms[i] < law else 0
-                else:
-                    yi = bisect.bisect_right(law, uniforms[i])
-            states[i] = yi
-            code = (code * p + yi) % span
-    return Dataset(states=np.array(states[burn_in:], dtype=np.int64), covariates=cov[burn_in:])
+    chain = _scan_chain if p**tree.order <= SCAN_SPAN else _step_chain
+    states = chain(tree, params, lagged, draws, binary)
+    return Dataset(states=states[burn_in:], covariates=cov[burn_in:])
 
 
 @dataclass(frozen=True)

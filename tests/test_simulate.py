@@ -1,9 +1,12 @@
 import bisect
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vlmcx
 from vlmcx import ContextTree, FitConfig, ParamBlock, TuningGrid, simulate
@@ -183,7 +186,10 @@ class TestGenerate:
 
 def _reference_law(z, binary):
     if binary:
-        return 1.0 / (1.0 + math.exp(-float(z[0])))
+        try:
+            return 1.0 / (1.0 + math.exp(-float(z[0])))
+        except OverflowError:  # P(state 1) is 0.0 below the exp range
+            return 0.0
     full = np.concatenate(([0.0], z))
     full -= np.maximum.reduce(full)
     probs = np.exp(full)
@@ -306,13 +312,25 @@ def fitted_tri_tree():
 
 
 class _PathCounter:
-    """Counts per-step laws and hot blocks by wrapping the module helpers."""
+    """Counts per-step laws and hot blocks, and records which chain ran
+    (``"scan"`` or ``"step"``), by wrapping the module helpers.  With
+    ``step_loop`` every tree takes the step loop, as one of more than
+    ``SCAN_SPAN`` histories does."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, step_loop=False):
         self.cold = 0
         self.hot_leaves = []
         self.blocks = []
+        self.paths = []
         step_law, hot_block = simulate._next_state_law, simulate._hot_block
+        if step_loop:
+            monkeypatch.setattr(simulate, "SCAN_SPAN", 0)
+        for path, chain in (("scan", simulate._scan_chain), ("step", simulate._step_chain)):
+            def counted_chain(*args, path=path, chain=chain):
+                self.paths.append(path)
+                return chain(*args)
+
+            monkeypatch.setattr(simulate, f"_{path}_chain", counted_chain)
 
         def counted_law(z, binary):
             self.cold += 1
@@ -321,7 +339,7 @@ class _PathCounter:
         def counted_block(leaf, lagged, uniforms, lo, i, hi, binary):
             self.hot_leaves.append(leaf[0])
             rows = hot_block(leaf, lagged, uniforms, lo, i, hi, binary)
-            self.blocks.append((leaf[0], lo, i, rows))
+            self.blocks.append((leaf[0], lo, i, rows.tolist()))
             return rows
 
         monkeypatch.setattr(simulate, "_next_state_law", counted_law)
@@ -362,14 +380,23 @@ class TestBlockDraw:
 
     @pytest.mark.parametrize("name", ["model1", "model2", "tri", "two_leaves"])
     def test_hot_and_cold_paths_both_run(self, monkeypatch, name):
-        counter = _PathCounter(monkeypatch)
+        # these trees take the scan, so the hot rule is pinned to the loop
+        counter = _PathCounter(monkeypatch, step_loop=True)
         generate(SPECS[name](), 2 * simulate.BLOCK_ROWS + 100, seed=5, burn_in=0)
+        assert counter.paths == ["step"]
         assert counter.cold > 0
         assert counter.hot_leaves
 
     def test_fixed_laws_never_go_hot(self, monkeypatch):
         counter = _PathCounter(monkeypatch)
         generate(_no_covariates(), 5000, seed=5)
+        assert counter.paths == ["scan"]
+        assert counter.hot_leaves == []
+
+    def test_fixed_laws_never_go_hot_on_the_step_loop(self, monkeypatch):
+        counter = _PathCounter(monkeypatch, step_loop=True)
+        generate(_no_covariates(), 5000, seed=5)
+        assert counter.paths == ["step"]
         assert counter.hot_leaves == []
 
     def test_large_fitted_tree_goes_hot_by_the_rule(self, monkeypatch, fitted_tri_tree):
@@ -380,6 +407,7 @@ class TestBlockDraw:
         total = 20_000
         counter = _PathCounter(monkeypatch)
         states = generate(fitted_tri_tree, total, seed=3, burn_in=0).states.tolist()
+        assert counter.paths == ["step"]  # 3 ** 6 histories, past SCAN_SPAN
         leaves = tree.leaves()
         history = [0] * tree.order + states
         want, seen = [], {}
@@ -400,9 +428,10 @@ class TestBlockDraw:
         # a busy covariate leaf goes hot on its second visit in a block, so
         # a 5 000-step call computes few per-step laws: at most 30, against
         # about 85-110 with the rule of eight visits, one per 32 rows, in
-        # blocks of 2 048
+        # blocks of 2 048.  These trees take the scan, so the hot rule is
+        # pinned to the loop
         spec = SPECS[name]()
-        counter = _PathCounter(monkeypatch)
+        counter = _PathCounter(monkeypatch, step_loop=True)
         for seed in range(3_000_000, 3_000_020):
             counter.cold = 0
             generate(spec, 5000, seed)
@@ -443,9 +472,9 @@ class TestBlockDraw:
                     simulate._band(alpha, bflat, width, xmax, p))
             for uniforms in edges:
                 rows = simulate._hot_block(leaf, lagged, uniforms, 100, 150, 600, binary)
-                assert rows == [-1] * 500
+                assert rows.tolist() == [-1] * 500
             uniforms = rng.random(600)
-            rows = simulate._hot_block(leaf, lagged, uniforms, 100, 150, 600, binary)
+            rows = simulate._hot_block(leaf, lagged, uniforms, 100, 150, 600, binary).tolist()
             want = [(1 if v < law else 0) if binary else bisect.bisect_right(law, v)
                     for law, v in zip(laws[150:], uniforms[150:].tolist())]
             assert rows == [-1] * 50 + want
@@ -476,14 +505,16 @@ class TestBlockDraw:
         # the band grows with the coefficients: with tri x 1e14 every hot
         # row falls inside it.  model2 x 30 stays inside the exp range of the
         # per-step oracle; its laws are nearly all saturated, and its band of
-        # a few 1e-12 holds no row at this seed.
+        # a few 1e-12 holds no row at this seed.  The replay counts visits of
+        # the step loop, so these trees, which take the scan, are pinned to it
         spec = _scaled(SPECS[name](), scale)
         tree = spec.tree
         total = 2 * simulate.BLOCK_ROWS + 100
         want, _ = reference_generate(spec, total, seed=6, burn_in=0)
-        counter = _PathCounter(monkeypatch)
+        counter = _PathCounter(monkeypatch, step_loop=True)
         data = generate(spec, total, seed=6, burn_in=0)
         np.testing.assert_array_equal(data.states, want)
+        assert counter.paths == ["step"]
         assert counter.hot_leaves
         # replay: one per-step law per fixed leaf, and one per visit of a
         # covariate leaf whose row no hot block drew; none for rows not visited
@@ -506,6 +537,116 @@ class TestBlockDraw:
             assert left > 0 and all(set(rows) == {-1} for *_, rows in counter.blocks)
 
 
+def _random_tree(p, order, seed, scale, covariate_share):
+    """A complete tree over ``p`` states, one covariate, of order at most
+    ``order``: a node above that depth splits with chance 0.6, the root
+    always; a leaf below the root reads covariate lags (as many as its depth
+    at most) with chance ``covariate_share``, with coefficients times
+    ``scale``, and otherwise has a fixed law."""
+    rng = np.random.default_rng(seed)
+    nodes = {}
+
+    def grow(u):
+        if len(u) < order and (not u or rng.random() < 0.6):
+            nodes[u] = None
+            for s in range(p):
+                grow(u + (s,))
+            return
+        h = int(rng.integers(1, len(u) + 1)) if u and rng.random() < covariate_share else 0
+        nodes[u] = ParamBlock(alpha=rng.normal(size=p - 1),
+                              beta=rng.normal(size=(p - 1, h, 1)) * scale)
+
+    grow(())
+    return ModelSpec(tree=ContextTree(p=p, d=1, nodes=nodes))
+
+
+def _full_binary(depth):
+    """Every binary history of ``depth`` states is a leaf, with 0, 1 or 2 lags."""
+    rng = np.random.default_rng(depth)
+    nodes = {u: None for k in range(depth) for u in itertools.product((0, 1), repeat=k)}
+    for j, u in enumerate(itertools.product((0, 1), repeat=depth)):
+        nodes[u] = ParamBlock.binary(rng.normal(), rng.normal(size=j % 3))
+    return ModelSpec(tree=ContextTree(p=2, d=1, nodes=nodes))
+
+
+def _binary_comb(order):
+    """Only state 0 extends a context: 2 ** ``order`` histories, ``order + 1`` leaves."""
+    rng = np.random.default_rng(order)
+    nodes = {(0,) * order: ParamBlock.binary(rng.normal(), rng.normal(size=1))}
+    for k in range(order):
+        nodes[(0,) * k] = None
+        nodes[(0,) * k + (1,)] = ParamBlock.binary(rng.normal(), rng.normal(size=k % 3))
+    return ModelSpec(tree=ContextTree(p=2, d=1, nodes=nodes))
+
+
+class TestScanChain:
+    """A tree of at most ``SCAN_SPAN`` histories resolves its chain in
+    arrays and must give the per-step generator's streams exactly; a larger
+    one takes the step loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(2, 4),
+        order=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        # from 1e12 up, rows fall in the hot blocks' band
+        scale=st.sampled_from([0.1, 1.0, 30.0, 1e3, 1e12, 1e13]),
+        covariate_share=st.sampled_from([0.0, 0.5, 1.0]),
+        n=st.integers(1, 2 * simulate.BLOCK_ROWS + 100),
+        burn_in=st.sampled_from([0, 1000]),
+        step_loop=st.booleans(),
+    )
+    def test_matches_per_step_generator(self, p, order, seed, scale, covariate_share,
+                                        n, burn_in, step_loop):
+        spec = _random_tree(p, order, seed, scale, covariate_share)
+        want, _ = reference_generate(spec, n, seed, burn_in=burn_in)
+        with pytest.MonkeyPatch.context() as mp:
+            counter = _PathCounter(mp, step_loop=step_loop)
+            data = generate(spec, n, seed, burn_in=burn_in)
+        np.testing.assert_array_equal(data.states, want)
+        assert counter.paths == ["step" if step_loop else "scan"]
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("n, burn_in", [(300, 0), (5000, 1000), (3 * simulate.BLOCK_ROWS + 7, 0)])
+    def test_step_loop_matches_per_step_generator(self, monkeypatch, name, n, burn_in):
+        # most of SPECS take the scan; the loop must still give their streams
+        monkeypatch.setattr(simulate, "SCAN_SPAN", 0)
+        assert_same_as_reference(SPECS[name](), n, seed=11, burn_in=burn_in)
+
+    @pytest.mark.parametrize("spec, path", [
+        (_full_binary(6), "scan"),
+        (_binary_comb(7), "step"),
+    ])
+    def test_span_cap_picks_the_path(self, monkeypatch, spec, path):
+        span = spec.p**spec.tree.order
+        assert span == (simulate.SCAN_SPAN if path == "scan" else 2 * simulate.SCAN_SPAN)
+        counter = _PathCounter(monkeypatch)
+        assert_same_as_reference(spec, simulate.BLOCK_ROWS + 100, seed=12, burn_in=1000)
+        assert counter.paths == [path]
+
+    @pytest.mark.parametrize("name, scale", [("tri", 1e14), ("model1", 1e13), ("wide", 1e13)])
+    def test_band_rows_take_the_per_step_law(self, monkeypatch, name, scale):
+        # every covariate leaf draws every row of each block, from the
+        # block's first row; a row in the band, visited or not, computes
+        # its per-step law, and so does each fixed leaf once
+        spec = _scaled(SPECS[name](), scale)
+        tree = spec.tree
+        total = 2 * simulate.BLOCK_ROWS + 100
+        want, _ = reference_generate(spec, total, seed=6, burn_in=0)
+        counter = _PathCounter(monkeypatch)
+        data = generate(spec, total, seed=6, burn_in=0)
+        np.testing.assert_array_equal(data.states, want)
+        assert counter.paths == ["scan"]
+        leaves = tree.leaves()
+        covariate = [k for k, u in enumerate(leaves) if tree.block(u).h]
+        assert sorted((k, lo, i) for k, lo, i, _ in counter.blocks) == [
+            (k, lo, lo) for k in covariate for lo in range(0, total, simulate.BLOCK_ROWS)
+        ]
+        band = sum(rows.count(-1) for *_, rows in counter.blocks)
+        assert band > 0
+        assert counter.cold == len(leaves) - len(covariate) + band
+
+
 class TestExpRange:
     """A binary predictor below about -709.8 overflows ``math.exp(-z)``; its
     P(state 1) is 0.0, so the step gives state 0."""
@@ -514,13 +655,9 @@ class TestExpRange:
         data = generate(_root_only(alpha=-800.0), 500, seed=1)
         assert not data.states.any()
 
-    def test_covariate_leaf_on_both_paths(self, monkeypatch):
-        # with alpha = -800 most predictors lie below the range.  Row 0 reads
-        # lags of zero, so its predictor is alpha itself, and it is always a
-        # per-step draw: a leaf's first visit in a block is never hot
-        counter = _PathCounter(monkeypatch)
-        total = simulate.BLOCK_ROWS
-        data = generate(_two_leaves(alpha=-800.0, beta=900.0), total, seed=4, burn_in=0)
+    @staticmethod
+    def two_leaves_out_of_range(total):
+        # with alpha = -800 most predictors lie below the range
         rng = np.random.default_rng(4)
         x = rng.standard_normal((total, 1))[:, 0].tolist()
         uniforms = rng.random(total).tolist()
@@ -529,7 +666,18 @@ class TestExpRange:
             0 if z[i] < -709.8 else int(uniforms[i] < 1.0 / (1.0 + math.exp(-z[i])))
             for i in range(total)
         ]
+        return _two_leaves(alpha=-800.0, beta=900.0), z, want
+
+    def test_covariate_leaf_on_both_paths(self, monkeypatch):
+        # Row 0 reads lags of zero, so its predictor is alpha itself, and it
+        # is always a per-step draw: a leaf's first visit in a block is never
+        # hot.  The tree takes the scan, so the hot rule is pinned to the loop
+        counter = _PathCounter(monkeypatch, step_loop=True)
+        total = simulate.BLOCK_ROWS
+        spec, z, want = self.two_leaves_out_of_range(total)
+        data = generate(spec, total, seed=4, burn_in=0)
         assert data.states.tolist() == want
+        assert counter.paths == ["step"]
         assert sorted(counter.hot_leaves) == [0, 1]
         # row i visits leaf want[i - 1] (leaf 0 at row 0)
         drawn = {k: rows for k, _, _, rows in counter.blocks}
@@ -539,6 +687,15 @@ class TestExpRange:
         assert counter.cold == len(cold)
         below = {i for i in range(total) if z[i] < -709.8}
         assert 0 in below & cold and below & hot
+
+    def test_covariate_leaf_in_the_scan(self, monkeypatch):
+        counter = _PathCounter(monkeypatch)
+        total = simulate.BLOCK_ROWS + 100
+        spec, z, want = self.two_leaves_out_of_range(total)
+        data = generate(spec, total, seed=4, burn_in=0)
+        assert data.states.tolist() == want
+        assert counter.paths == ["scan"]
+        assert sum(v < -709.8 for v in z) > 0
 
 
 class TestCompareTrees:
