@@ -8,23 +8,33 @@ entries, so the coefficient layout matches ParamBlock: column ``1 + (t*d) + l``
 belongs to covariate ``l`` observed ``t + 1`` steps back.
 
 Fitting is plain Newton-Raphson with step-halving, through one kernel built
-once per design.  The logistic (p = 2) or multinomial form is chosen when the
-kernel is built, and nowhere else.  The kernel evaluates the link at a point
-(the log-likelihood and the linear predictors behind it), turns those into
-fitted probabilities, and computes the score and the information matrix from
-the probabilities.  A line search evaluates every trial step, but only the
-start and the accepted steps get probabilities; a rejected step needs none.
-A singular information matrix gets a small ridge; iterates whose
-coefficients pass ``SEPARATION_BOUND`` in magnitude mark the result as
-separated but still return it.
+per fit.  The logistic (p = 2) or multinomial form is chosen when the kernel
+is built, and nowhere else.  The kernel evaluates the link at a point (the
+log-likelihood and the linear predictors behind it), turns those into fitted
+probabilities, and computes the score and the information matrix from the
+probabilities.  A line search evaluates every trial step, but only the start
+and the accepted steps get probabilities; a rejected step needs none.  A
+singular information matrix gets a small ridge; iterates whose coefficients
+pass ``SEPARATION_BOUND`` in magnitude mark the result as separated but still
+return it.
+
+Work is done once per design where it can be.  A ``LeafDesign`` builds its
+target encodings (``LeafDesign.targets``) on first use, and every fit,
+gradient, Hessian and ``design_loglik`` on it reads them, at any ``h``; a
+fit at fewer lags reads the first columns of ``X`` as a view.  Once per fit
+come only the kernel and its buffers, sized to the design's rows.
 
 Per-state arrays are stored state-major, one contiguous row of time points
 per state: the multinomial kernel's (p, m) predictors and (p - 1, m)
 probabilities, and the (p, t) predictors of each leaf in
 ``log_likelihood``.  Reductions over the states then run as whole-row
-ufuncs, except the sum of exponentials, which is taken over a row-major
-copy so that it adds in numpy's row order (pairwise from 8 states on) and
-every result keeps the bits of the row-major form.
+ufuncs, except the sum of exponentials.  The kernel writes the exponentials
+through the transposed view of a row-major (m, p) buffer and sums that
+buffer's rows, so they add in numpy's row order (pairwise from 8 states on)
+and every result keeps the bits of the row-major form, without a copy.  The
+predictors are written the same way, by a product into the transposed view
+of their rows, which numpy computes as the transposed gemm; the tests check
+both against the row-major oracles byte for byte.
 
 The multinomial information is computed as one gemm per upper (j, l) block
 of targets, stacked, and assembled by a single gather: an index cached per
@@ -69,9 +79,13 @@ SEPARATION_BOUND = 30.0
 RIDGE = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeafDesign:
-    """Design matrix and responses for the transitions assigned to one leaf."""
+    """Design matrix and responses for the transitions assigned to one leaf.
+
+    Frozen, so that the target encodings built from ``y`` once per design
+    cannot go stale: ``dataclasses.replace`` gives a new design with its own.
+    """
 
     context: Context
     X: np.ndarray
@@ -88,18 +102,35 @@ class LeafDesign:
     def n_cols(self) -> int:
         return 1 + self.h * self.d
 
+    @functools.cached_property
+    def targets(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """The responses as the kernel reads them, at every ``h``: the 0/1
+        float vector of transitions into state 1 for p = 2; for p > 2 the
+        (p - 1, m) one-hot rows of states 1..p-1 and each time point's
+        observed state in the flattened (p, m) log-probabilities."""
+        y, m = self.y, self.m
+        if self.p == 2:
+            return (y == 1).astype(float)
+        return (y == np.arange(1, self.p)[:, np.newaxis]).astype(float), y * m + np.arange(m)
+
     def truncated(self, h: int) -> "LeafDesign":
         """Same rows, keeping the intercept and the first ``h`` lags."""
-        if not 0 <= h <= self.h:
-            raise ValueError(f"h={h} outside [0, {self.h}]")
-        return LeafDesign(
+        out = LeafDesign(
             context=self.context,
-            X=self.X[:, : 1 + h * self.d],
+            X=self.X[:, : 1 + _checked_h(self, h) * self.d],
             y=self.y,
             h=h,
             d=self.d,
             p=self.p,
         )
+        vars(out)["targets"] = self.targets  # same responses, same encodings
+        return out
+
+
+def _checked_h(design: LeafDesign, h: int) -> int:
+    if not 0 <= h <= design.h:
+        raise ValueError(f"h={h} outside [0, {design.h}]")
+    return h
 
 
 @dataclass(frozen=True)
@@ -146,9 +177,8 @@ class _Logistic(_Kernel):
     """p = 2: the linear predictor and the probabilities are (m,) vectors,
     the log-odds and P(state 1)."""
 
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X, self.Xt = X, X.T
-        self.y = (y == 1).astype(float)
+    def __init__(self, X: np.ndarray, targets: np.ndarray):
+        self.X, self.Xt, self.y = X, X.T, targets
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         z = self.X @ theta
@@ -174,26 +204,28 @@ class _Multinomial(_Kernel):
 
     The values are those of the row-major (m, p) form bit for bit.  The one
     ordered reduction, the sum of exponentials over states, is taken on a
-    row-major copy: numpy sums a contiguous row pairwise once it has 8 or
-    more entries, while a sum over axis 0 adds the states one by one, which
-    rounds differently for p >= 8."""
+    row-major (m, p) buffer whose transposed view receives the exponentials:
+    numpy sums a contiguous row pairwise once it has 8 or more entries, while
+    a sum over axis 0 adds the states one by one, which rounds differently
+    for p >= 8."""
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, p: int):
+    def __init__(self, X: np.ndarray, targets: tuple[np.ndarray, np.ndarray], p: int):
         m = X.shape[0]
         self.X, self.Xt, self.k = X, X.T, p - 1
+        self.onehot, self.pick = targets
         self.L = np.zeros((p, m))  # row 0 is the baseline state's predictor
-        # row j marks the transitions into state j + 1
-        self.onehot = (y == np.arange(1, p)[:, np.newaxis]).astype(float)
-        # each time point's observed state in the flattened (p, m) log-probabilities
-        self.pick = y * m + np.arange(m)
+        self.Lt = self.L[1:].T  # (m, p - 1) view that receives X Θᵀ
+        self.E = np.empty((m, p))  # row-major exponentials
+        self.Et = self.E.T
         self.pairs = _target_pairs(self.k)
         self.layout = _information_layout(self.k, X.shape[1])
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        L = self.L
-        L[1:] = (self.X @ theta.reshape(self.k, -1).T).T
+        L, E = self.L, self.E
+        np.matmul(self.X, theta.reshape(self.k, -1).T, out=self.Lt)
         mx = np.maximum.reduce(L, axis=0)
-        LP = L - (mx + np.log(np.add.reduce(np.exp(L - mx).T.copy(), axis=1)))
+        np.exp(np.subtract(L, mx, out=self.Et), out=self.Et)
+        LP = L - (mx + np.log(np.add.reduce(E, axis=1)))
         return float(np.add.reduce(LP.take(self.pick))), LP
 
     @staticmethod
@@ -206,7 +238,7 @@ class _Multinomial(_Kernel):
 
     def information(self, P: np.ndarray) -> np.ndarray:
         J, K, delta = self.pairs
-        W = P[J] * (delta - P[K])
+        W = P.take(J, axis=0) * (delta - P.take(K, axis=0))
         # one gemm per (j, l) block, stacked: (X * w[:, None]).T @ X each
         B = np.matmul((self.X * W[:, :, np.newaxis]).transpose(0, 2, 1), self.X)
         return B.take(self.layout)
@@ -238,8 +270,11 @@ def _information_layout(k: int, q: int) -> np.ndarray:
     return layout
 
 
-def _kernel(X: np.ndarray, y: np.ndarray, p: int) -> _Kernel:
-    return _Logistic(X, y) if p == 2 else _Multinomial(X, y, p)
+def _kernel(design: LeafDesign, X: np.ndarray) -> _Kernel:
+    """The kernel of ``design``'s responses on ``X``, its first columns."""
+    if design.p == 2:
+        return _Logistic(X, design.targets)
+    return _Multinomial(X, design.targets, design.p)
 
 
 def _flat(design: LeafDesign, params) -> np.ndarray:
@@ -247,7 +282,7 @@ def _flat(design: LeafDesign, params) -> np.ndarray:
 
 
 def _fitted(design: LeafDesign, params) -> tuple[_Kernel, np.ndarray]:
-    kernel = _kernel(design.X, design.y, design.p)
+    kernel = _kernel(design, design.X)
     return kernel, kernel.probabilities(kernel.evaluate(_flat(design, params))[1])
 
 
@@ -266,7 +301,7 @@ def hessian(design: LeafDesign, params: np.ndarray) -> np.ndarray:
 def design_loglik(design: LeafDesign, block: ParamBlock) -> float:
     """Log-likelihood of the design rows under ``block``."""
     theta = _theta_from_block(block, design.h, design.d)
-    return _kernel(design.X, design.y, design.p).evaluate(theta.ravel())[0]
+    return _kernel(design, design.X).evaluate(theta.ravel())[0]
 
 
 # -- coefficient block <-> flat parameter matrix -----------------------------
@@ -477,14 +512,15 @@ def fit_leaf(
     """
     if design.m == 0:
         raise DataError(f"no transitions assigned to {context_label(design.context)}")
-    if h is not None and h != design.h:
-        design = design.truncated(h)
-    h = design.h
-    kernel = _kernel(design.X, design.y, design.p)
+    if h is None or h == design.h:
+        h, X = design.h, design.X
+    else:
+        X = design.X[:, : 1 + _checked_h(design, h) * design.d]
+    kernel = _kernel(design, X)
     if start is not None:
         theta = _theta_from_block(start, h, design.d).ravel()
     else:
-        theta = np.zeros((design.p - 1) * design.X.shape[1])
+        theta = np.zeros((design.p - 1) * X.shape[1])
     iterations = 0
     separated = False
     with np.errstate(all="ignore"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,7 +12,7 @@ from conftest import (
     reference_log_likelihood,
     reference_score,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlmcx import ContextTree, Dataset, ParamBlock, glm
@@ -523,6 +524,25 @@ def newton_cases(draw):
     return design, h_fit, block, max_iter
 
 
+def wide_case(p, start, *, separated=False, h_fit=6, seed=0):
+    """A ``newton_cases`` case at the width of a ``vlmcx fit`` leaf on the
+    benchmark's 3-state, d = 2 data: h = 6 lags, 13 columns, so 26
+    parameters at p = 3."""
+    rng = np.random.default_rng(seed)
+    m = 60 * p
+    X = np.ones((m, 13))
+    X[:, 1:] = rng.normal(size=(m, 12))
+    if separated:
+        y = np.digitize(X[:, 1], np.quantile(X[:, 1], np.arange(1, p) / p))
+    else:
+        y = rng.integers(0, p, size=m)
+    design = LeafDesign(context=(0,) * 6, X=X, y=y, h=6, d=2, p=p)
+    block = None
+    if start == "warm":
+        block = ParamBlock(alpha=rng.normal(size=p - 1), beta=rng.normal(size=(p - 1, 6, 2)))
+    return design, h_fit, block, MAX_ITER
+
+
 class TestLeanNewton:
     """``fit_leaf`` evaluates probabilities only for accepted steps and runs
     its stopping checks on Python floats; every outcome equals the eager
@@ -530,6 +550,11 @@ class TestLeanNewton:
 
     @settings(max_examples=300, deadline=None)
     @given(case=newton_cases())
+    @example(case=wide_case(3, "cold"))
+    @example(case=wide_case(3, "warm", seed=1))
+    @example(case=wide_case(3, "warm", h_fit=3, seed=2))
+    @example(case=wide_case(3, "cold", separated=True, seed=3))
+    @example(case=wide_case(9, "cold", seed=4))
     def test_equals_the_eager_loop(self, case):
         design, h, start, max_iter = case
         kw = dict(start=start, max_iter=max_iter)
@@ -585,6 +610,72 @@ class TestLeanNewton:
         values[at] = math.nan
         assert glm._within_tolerance(values, math.inf) is False
         assert glm._past_separation_bound(values) is False
+
+
+class TestDesignReuse:
+    """A ``LeafDesign`` builds its target encodings once and every fit,
+    score, Hessian and likelihood on it reads them, at any ``h``.  Reusing
+    one design must give what a freshly built design gives."""
+
+    @staticmethod
+    def fresh(design):
+        return LeafDesign(context=design.context, X=design.X.copy(), y=design.y.copy(),
+                          h=design.h, d=design.d, p=design.p)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 8, 9])
+    def test_one_design_many_fits(self, p):
+        rng = np.random.default_rng(100 + p)
+        design = random_design(rng, m=30 * p, h=3, d=2, p=p)
+        X, y = design.X.copy(), design.y.copy()
+        first = outcome(fit_leaf, design)
+        assert first == outcome(reference_fit_leaf, self.fresh(design))
+        start = fit_leaf(design).params
+        for h in range(design.h, -1, -1):
+            got = outcome(fit_leaf, design, h, start=start)
+            assert got == outcome(reference_fit_leaf, self.fresh(design), h, start=start)
+            if got[0] != "not converged":
+                start = fit_leaf(design, h, start=start).params
+            # the score, the Hessian and the likelihood in between, on the
+            # full design, at the warm start padded with zero lags
+            theta = glm._theta_from_block(start, design.h, design.d).ravel()
+            with np.errstate(all="ignore"):
+                ll, P = reference_link(X, y, p, theta)
+                assert gradient(design, theta).tobytes() == reference_score(X, y, P).tobytes()
+                assert hessian(design, theta).tobytes() == (-reference_information(X, P)).tobytes()
+                assert design_loglik(design, start) == ll
+                short = design.truncated(h)
+                assert design_loglik(short, start) == ll
+        assert outcome(fit_leaf, design) == first
+        assert design.X.tobytes() == X.tobytes() and design.y.tobytes() == y.tobytes()
+
+    def test_design_is_frozen(self, rng):
+        design = random_design(rng, m=40, h=1, d=1, p=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            design.y = design.y[::-1]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_replace_fits_the_new_responses(self, rng, p):
+        design = random_design(rng, m=80, h=2, d=1, p=p)
+        before = outcome(fit_leaf, design)  # builds the encodings of the old y
+        y = (design.y + 1) % p
+        swapped = dataclasses.replace(design, y=y)
+        want = outcome(reference_fit_leaf, self.fresh(swapped))
+        assert outcome(fit_leaf, swapped) == want != before
+        assert outcome(fit_leaf, design) == before
+
+    def test_truncated_shares_the_encodings(self, rng):
+        design = random_design(rng, m=40, h=2, d=1, p=3)
+        short = design.truncated(1)
+        assert short.targets is design.targets
+        assert short.X.base is design.X and short.h == 1
+
+    @pytest.mark.parametrize("h", [-1, 3])
+    def test_lag_count_outside_the_design_rejected(self, rng, h):
+        design = random_design(rng, m=40, h=2, d=1, p=3)
+        with pytest.raises(ValueError, match=rf"^h={h} outside \[0, 2\]$"):
+            fit_leaf(design, h)
+        with pytest.raises(ValueError, match=rf"^h={h} outside \[0, 2\]$"):
+            design.truncated(h)
 
 
 class TestStateMajorKernel:
