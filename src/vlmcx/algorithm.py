@@ -280,11 +280,14 @@ def _grow_structure(index: HistoryIndex, p: int, s_values: Sequence[int],
 # -- the pruning engine ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LeafState:
-    """A leaf's transition times in design-row order and its fit."""
+    """A leaf's transition times in design-row order, its full-depth design
+    on them and its fit.  A state hashes and compares by identity, so the
+    outcome memo keys on states."""
 
     rows: np.ndarray
+    design: LeafDesign
     fit: glm.MleResult
 
 
@@ -294,13 +297,11 @@ class _Outcome:
 
     ``test`` is the LRT (None for a merge that frees no parameters),
     ``state`` the leaf state a non-rejection installs and ``notes`` what
-    the test writes.  ``tested`` holds the states the outcome is keyed on,
-    so their ids stay unique while it lives.  ``records`` holds the audit
-    record of each (test kind, action) the outcome has met, built once and
-    shared by every engine that reaches it.
+    the test writes.  ``records`` holds the audit record of each (test
+    kind, action) the outcome has met, built once and shared by every
+    engine that reaches it.
     """
 
-    tested: tuple[_LeafState, ...]
     test: LrtResult | None
     state: _LeafState
     notes: tuple[str, ...]
@@ -324,13 +325,10 @@ class _Outcome:
 class _Memo:
     """Work shared by engines: each initial leaf state with the notes its fit
     wrote, by context (one horizon gives a context the same rows in every
-    maximal tree), each test's outcome, by the ids of the tested states, and
-    each leaf's full-depth design, by the id of its rows, which the entry
-    holds."""
+    maximal tree), and each test's outcome, by the tested states."""
 
     initial: dict[Context, tuple[_LeafState, tuple[str, ...]]] = field(default_factory=dict)
-    outcomes: dict[tuple[int, ...], _Outcome] = field(default_factory=dict)
-    designs: dict[int, tuple[np.ndarray, LeafDesign]] = field(default_factory=dict)
+    outcomes: dict[tuple[_LeafState, ...], _Outcome] = field(default_factory=dict)
 
 
 class _Scores(NamedTuple):
@@ -352,16 +350,17 @@ class _Engine:
     Rows, counts and designs come from one ``HistoryIndex`` of the data,
     built here unless ``index`` shares one.  A leaf's rows are its window
     rows past the horizon, ascending; a merged parent's are its children's
-    rows stacked in child order.  A leaf's design is gathered from the index
-    at its full depth once per rows array and kept in the memo; a fit with
-    fewer lags reads a truncated view of it.
+    rows stacked in child order.  A leaf state carries its design, gathered
+    from the index at the leaf's full depth when the state is first fitted;
+    the states a lag drop installs keep it, and a fit with fewer lags reads
+    a truncated view of it.
 
     A leaf's initial state and a test's outcome (statistic, p-value, reduced
     or merged fit, notes) do not depend on gamma, so each is computed once
     per ``memo``, which clones share (a private one unless given).  Tests
-    are keyed by the ids of the tested states, which are immutable, so
-    engines that share a memo and a leaf's initial state share every test
-    from it on.  Each engine only compares its own level with the p-value.
+    are keyed by the tested states, which are immutable, so engines that
+    share a memo and a leaf's initial state share every test from it on.
+    Each engine only compares its own level with the p-value.
 
     ``seed`` (internal) maps some leaves of a given ``structure`` to their
     blocks.  Such an engine holds only those leaves, each refitted at its
@@ -431,32 +430,21 @@ class _Engine:
                 f"transitions assigned to leaves"
             )
 
-    def _design(self, u: Context, rows: np.ndarray) -> LeafDesign:
-        """Leaf ``u``'s full-depth design on ``rows``, gathered once per memo."""
-        entry = self._memo.designs.get(id(rows))
-        if entry is None:
-            design = glm._design(self.index, u, rows, len(u), self.p)
-            entry = self._memo.designs[id(rows)] = (rows, design)
-        return entry[1]
-
-    def _fit(self, u: Context, rows: np.ndarray, h: int,
-             start: ParamBlock | None = None) -> glm.MleResult:
-        return fit_leaf(self._design(u, rows), h, start=start)
-
     def _fit_state(self, u: Context, rows: np.ndarray, h: int,
                    start: ParamBlock | None, notes: list[str]) -> _LeafState:
         """Fit leaf ``u`` on ``rows``, else its intercept-only model, else hold
         zeros (the null fit of a leaf without rows); a zero block reports 0
         iterations.  What happened goes to ``notes``."""
+        design = glm._design(self.index, u, rows, len(u), self.p)
         res = None
         if rows.size == 0:
             notes.append(f"no transitions for {context_label(u)}; using a null fit")
         else:
             try:
-                res = self._fit(u, rows, h, start)
+                res = fit_leaf(design, h, start=start)
             except NotConverged:
                 try:
-                    res = self._fit(u, rows, 0)
+                    res = fit_leaf(design, 0)
                     notes.append(
                         f"fit at {context_label(u)} with {h} lags did not "
                         f"converge; fell back to intercept only"
@@ -466,14 +454,14 @@ class _Engine:
         if res is None:
             k = self.p - 1
             zeros = ParamBlock(alpha=np.zeros(k), beta=np.zeros((k, 0, max(self.d, 1))))
-            res = glm.MleResult(zeros, design_loglik(self._design(u, rows), zeros), 0,
+            res = glm.MleResult(zeros, design_loglik(design, zeros), 0,
                                 converged=False, separated=False)
         elif res.separated:
             notes.append(
                 f"separation at {context_label(u)}: "
                 f"a coefficient passed {glm.SEPARATION_BOUND} in magnitude"
             )
-        return _LeafState(rows, res)
+        return _LeafState(rows, design, res)
 
     def clone(self, config: FitConfig) -> "_Engine":
         eng = copy.copy(self)
@@ -532,11 +520,10 @@ class _Engine:
                  run: Callable[[list[str]], tuple[LrtResult | None, _LeafState]]) -> _Outcome:
         """The memoized outcome of the test on ``tested``, computed by
         ``run(notes)`` on a miss; its notes are appended to this engine's."""
-        key = tuple(map(id, tested))
-        out = self._memo.outcomes.get(key)
+        out = self._memo.outcomes.get(tested)
         if out is None:
             notes: list[str] = []
-            out = self._memo.outcomes[key] = _Outcome(tested, *run(notes), tuple(notes))
+            out = self._memo.outcomes[tested] = _Outcome(*run(notes), tuple(notes))
         self.notes.extend(out.notes)
         return out
 
@@ -559,15 +546,14 @@ class _Engine:
         h = st.fit.params.h
         df = (self.p - 1) * self.d
         try:
-            res = self._fit(u, st.rows, h - 1, st.fit.params)
+            res = fit_leaf(st.design, h - 1, start=st.fit.params)
         except (NotConverged, DataError) as exc:
             notes.append(
                 f"constrained fit at {context_label(u)} (lag {h}) failed: {exc}; "
                 f"treating the lag as droppable"
             )
             block = st.fit.params.truncated(h - 1)
-            design = self._design(u, st.rows).truncated(h - 1)
-            res = glm.MleResult(block, design_loglik(design, block), 0,
+            res = glm.MleResult(block, design_loglik(st.design.truncated(h - 1), block), 0,
                                 converged=False, separated=st.fit.separated)
             test = LrtResult(float("nan"), df, float("nan"))
         else:
@@ -576,7 +562,7 @@ class _Engine:
                 lambda: f"reduced fit at {context_label(u)} (lag {h}) beat the larger "
                         f"model; optimizer trouble, dropping the lag",
             )
-        return test, _LeafState(st.rows, res)
+        return test, _LeafState(st.rows, st.design, res)
 
     def _lag_sweep(self, u: Context, gamma_eff: float) -> None:
         while self.leaves[u].fit.params.h >= 1:
@@ -886,8 +872,8 @@ def select_tuning(
     its rows and its design from it.  They also share one memo per call.
     Under the shared horizon a leaf of several maximal trees has the same
     rows in each, so it is fitted once, and its state and notes serve every
-    s.  Each leaf's design is gathered once per rows array and serves its
-    first fit, its lag-drop fits and any failed-fit score.  A test's
+    s.  A leaf state carries the full-depth design its first fit gathered,
+    which serves its lag-drop fits and any failed-fit score.  A test's
     statistic, p-value, reduced or merged fit, notes and audit records do
     not depend on gamma, so they are memoized by the tested leaf states, and
     every grid point that reaches the same states only compares its own
