@@ -19,7 +19,6 @@ log-likelihoods, tests, and information criteria comparable across trees.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import dataclasses
 import json
@@ -48,6 +47,7 @@ from .errors import (
     DataError,
     DataTooShort,
     DomainError,
+    MalformedModel,
     NestingViolation,
     NotConverged,
     NumericalError,
@@ -222,59 +222,35 @@ def _check_alphabet(index: HistoryIndex, p: int, threshold: int) -> None:
         )
 
 
-def _grow_structure(index: HistoryIndex, p: int, s_values: Sequence[int],
-                    cap: int) -> dict[int, set[Context] | DataTooShort]:
-    """Deepest prefix-closed node set satisfying the sibling count rule for
-    each s of ``s_values``, or the ``DataTooShort`` that s fails with.
+def _grow_structure(index: HistoryIndex, p: int, s: int, cap: int) -> set[Context]:
+    """Deepest prefix-closed node set satisfying the sibling count rule.
 
     A sibling group at depth k enters only when every member occurs at least
     ``s * (1 + d*k)`` times, so each candidate regression keeps ``s``
-    observations per parameter.  A larger s keeps a subset of a smaller s's
-    nodes, so one walk of the smallest growing s's levels serves every s:
-    each level's counts come from the index at once, and each node records
-    how many of the growing s values keep it.  An s fails before any count
-    when n cannot support depth 1, or when a state of ``0 .. p-1`` never
-    occurs, since no sibling group can then clear the rule.
+    observations per parameter.  Each level's counts come from the index at
+    once.  Raises ``DataTooShort`` when no depth-1 group clears the rule,
+    before any count when n is too short or a state of ``0 .. p-1`` never
+    occurs.
     """
-    data = index.data
-    n, d = data.n, data.d
-    out: dict[int, set[Context] | DataTooShort] = {}
-    grow: list[int] = []  # ascending
-    for s in sorted(set(s_values)):
-        if n <= s * (1 + d):
-            out[s] = DataTooShort(
-                f"n={n} cannot support depth 1 with s={s}, d={d} "
-                f"(need more than {s * (1 + d)} observations)"
-            )
-            continue
-        try:
-            _check_alphabet(index, p, s * (1 + d))
-        except DataTooShort as exc:
-            out[s] = exc
-            continue
-        grow.append(s)
-    cap_eff = min(cap, int(math.floor(math.log2(n))))
-    kept: dict[Context, int] = {(): len(grow)}  # node -> how many of ``grow`` keep it
-    level: list[Context] = [()] if grow else []
-    for depth in range(1, cap_eff + 1):
+    n, d = index.data.n, index.data.d
+    if n <= s * (1 + d):
+        raise DataTooShort(
+            f"n={n} cannot support depth 1 with s={s}, d={d} "
+            f"(need more than {s * (1 + d)} observations)"
+        )
+    _check_alphabet(index, p, s * (1 + d))
+    nodes: set[Context] = {()}
+    level: list[Context] = [()]
+    for depth in range(1, min(cap, int(math.floor(math.log2(n)))) + 1):
+        threshold = s * (1 + d * depth)
+        supported = (index.child_counts(level, p) >= threshold).all(axis=1)
+        level = [u + (w,) for u, ok in zip(level, supported) if ok for w in range(p)]
         if not level:
             break
-        thresholds = [s * (1 + d * depth) for s in grow]
-        least = index.child_counts(level, p).min(axis=1).tolist()
-        next_level: list[Context] = []
-        for u, m in zip(level, least):
-            j = min(kept[u], bisect.bisect_right(thresholds, m))
-            if j:
-                for w in range(p):
-                    kept[u + (w,)] = j
-                    next_level.append(u + (w,))
-        level = next_level
-    for i, s in enumerate(grow):
-        nodes = {u for u, j in kept.items() if j > i}
-        out[s] = nodes if len(nodes) > 1 else DataTooShort(
-            f"no depth-1 sibling group reaches {s * (1 + d)} occurrences each"
-        )
-    return {s: out[s] for s in s_values}
+        nodes.update(level)
+    if len(nodes) == 1:
+        raise DataTooShort(f"no depth-1 sibling group reaches {s * (1 + d)} occurrences each")
+    return nodes
 
 
 # -- the pruning engine ----------------------------------------------------------
@@ -291,34 +267,14 @@ class _LeafState:
     fit: glm.MleResult
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    """The gamma-free part of one lag-drop or merge test.
-
-    ``test`` is the LRT (None for a merge that frees no parameters),
-    ``state`` the leaf state a non-rejection installs and ``notes`` what
-    the test writes.  ``records`` holds the audit record of each (test
-    kind, action) the outcome has met, built once and shared by every
-    engine that reaches it.
-    """
+class _Outcome(NamedTuple):
+    """The gamma-free part of one lag-drop or merge test: ``test`` is the
+    LRT (None for a merge that frees no parameters), ``state`` the leaf
+    state a non-rejection installs and ``notes`` what the test writes."""
 
     test: LrtResult | None
     state: _LeafState
     notes: tuple[str, ...]
-    records: dict[tuple[str, str], AuditRecord] = field(default_factory=dict)
-
-    def record(self, kind: str, contexts: tuple[Context, ...], lag: int | None,
-               action: str) -> AuditRecord:
-        """The audit record of this test under ``kind`` with ``action``; a
-        tested state belongs to one context, so ``contexts`` and ``lag`` are
-        the same at every call."""
-        rec = self.records.get((kind, action))
-        if rec is None:
-            test = self.test
-            rec = self.records[kind, action] = AuditRecord(
-                kind, contexts, lag, test.statistic, test.df, test.p_value, action
-            )
-        return rec
 
 
 @dataclass
@@ -385,10 +341,7 @@ class _Engine:
         self.d = data.d
         self.index = HistoryIndex(data) if index is None else index
         if structure is None:
-            structure = _grow_structure(self.index, self.p, [config.s],
-                                        config.max_order_cap)[config.s]
-            if isinstance(structure, DataTooShort):
-                raise structure
+            structure = _grow_structure(self.index, self.p, config.s, config.max_order_cap)
         self.order = max(len(u) for u in structure)
         self.horizon = self.order if horizon is None else _integer("horizon", horizon, 0)
         if self.horizon < self.order:
@@ -531,12 +484,12 @@ class _Engine:
         """Test the deepest stored lag of leaf ``u``; install the reduced fit
         when the test does not reject.  Returns True on a drop."""
         st = self.leaves[u]
-        out = self._outcome((st,), lambda notes: self._lag_drop_outcome(u, st, notes))
-        test = out.test
+        test, reduced, _ = self._outcome((st,), lambda notes: self._lag_drop_outcome(u, st, notes))
         dropped = not test.p_value <= gamma_eff  # a NaN test drops
         if dropped:
-            self.leaves[u] = out.state
-        self.audit.append(out.record(kind, (u,), st.fit.params.h, "drop" if dropped else "keep"))
+            self.leaves[u] = reduced
+        self.audit.append(AuditRecord(kind, (u,), st.fit.params.h, test.statistic, test.df,
+                                      test.p_value, "drop" if dropped else "keep"))
         return dropped
 
     def _lag_drop_outcome(self, u: Context, st: _LeafState,
@@ -571,17 +524,17 @@ class _Engine:
 
     def _merge_test(self, parent: Context, children: list[Context], gamma_eff: float) -> bool:
         states = tuple(self.leaves[c] for c in children)
-        out = self._outcome(states, lambda notes: self._merge_outcome(parent, states, notes))
-        test = out.test
+        test, merged_state, _ = self._outcome(
+            states, lambda notes: self._merge_outcome(parent, states, notes))
         if test is None:
             return False
         merged = test.p_value >= gamma_eff
-        self.audit.append(out.record("sibling_merge", tuple(children), None,
-                                     "merge" if merged else "no_merge"))
+        self.audit.append(AuditRecord("sibling_merge", tuple(children), None, test.statistic,
+                                      test.df, test.p_value, "merge" if merged else "no_merge"))
         if merged:
             for c in children:
                 del self.leaves[c]
-            self.leaves[parent] = out.state
+            self.leaves[parent] = merged_state
         return merged
 
     def _merge_outcome(self, parent: Context, states: tuple[_LeafState, ...],
@@ -665,8 +618,7 @@ def build_maximal_tree(
     horizon: int | None = None,
 ) -> ContextTree:
     """Deepest count-supported tree with freshly fitted leaves (no pruning)."""
-    config = config or FitConfig()
-    return _Engine(data, config, p=p, horizon=horizon).final_tree()
+    return _Engine(data, config or FitConfig(), p=p, horizon=horizon).final_tree()
 
 
 def fit(
@@ -702,6 +654,16 @@ def _seeded_engine(
     )
 
 
+def _leaf(tree: ContextTree, u: Context) -> Context:
+    """``u`` as a context of ints, checked to be a leaf of ``tree``."""
+    u = tuple(int(s) for s in u)
+    if u not in tree.nodes:
+        raise MalformedModel(f"unknown context {context_label(u)}")
+    if not tree.is_leaf(u):
+        raise ChildrenNotLeaves(f"{context_label(u)} is not a leaf")
+    return u
+
+
 def _last_test(engine: _Engine) -> LrtResult:
     rec = engine.audit[-1]
     return LrtResult(rec.statistic, rec.df, rec.p_value)
@@ -722,9 +684,7 @@ def test_pastmost_beta(
     Returns the test and the tree with the leaf's refit installed: the
     reduced fit on non-rejection, the full one otherwise.
     """
-    u = tuple(int(s) for s in u)
-    if not tree.is_leaf(u):
-        raise ChildrenNotLeaves(f"{context_label(u)} is not a leaf")
+    u = _leaf(tree, u)
     h = tree.block(u).h
     if h < 1:
         raise ValueError(f"leaf {context_label(u)} has no lag rows to test")
@@ -783,7 +743,7 @@ def sequential_beta_prune(
     Runs the estimator's own lag sweep on the leaf refitted from its block
     and returns the tree with the leaf's final fit installed.
     """
-    u = tuple(int(s) for s in u)
+    u = _leaf(tree, u)
     engine = _seeded_engine(tree, [u], data, config, horizon)
     engine._lag_sweep(u, engine.config.gamma)
     return tree.with_block(u, engine.leaves[u].fit.params)
@@ -795,19 +755,19 @@ def replay_audit(tau_max: ContextTree, audit: Sequence[AuditRecord]) -> dict[Con
     Returns the node map implied by the audit alone: internal nodes map to
     None, leaves to their remaining lag count.  Matching this against a
     report's tree checks that the audit trail fully determines the outcome.
+    A merged parent's lag count follows from the merge's ``df``: it has
+    ``len(parent)`` lags, or none when its fit fell back to intercept only.
     """
-    state: dict[Context, int | None] = {}
-    for u in tau_max.nodes:
-        state[u] = tau_max.block(u).h if tau_max.is_leaf(u) else None
+    state = {u: tau_max.block(u).h if tau_max.is_leaf(u) else None for u in tau_max.nodes}
+    k, d = tau_max.p - 1, tau_max.d
     for rec in audit:
         if rec.action == "drop":
-            u = rec.contexts[0]
-            state[u] = rec.lag - 1
+            state[rec.contexts[0]] = rec.lag - 1
         elif rec.action == "merge":
-            parent = rec.contexts[0][:-1]
-            for c in rec.contexts:
-                state.pop(c, None)
-            state[parent] = len(parent) if tau_max.d > 0 else 0
+            # df = k * (sum over children of (1 + d*h) - (1 + d*h_parent))
+            lags = sum(state.pop(c) for c in rec.contexts)
+            freed = rec.df // k - (len(rec.contexts) - 1)
+            state[rec.contexts[0][:-1]] = lags - freed // d if d else 0
     return state
 
 
@@ -868,17 +828,17 @@ def select_tuning(
     any tree is grown, so an invalid s or gamma raises ``DataError``.
 
     Grid points share one ``HistoryIndex`` of the data, built once per call:
-    one walk of its counts grows the tree of every s, and every leaf takes
-    its rows and its design from it.  They also share one memo per call.
-    Under the shared horizon a leaf of several maximal trees has the same
-    rows in each, so it is fitted once, and its state and notes serve every
-    s.  A leaf state carries the full-depth design its first fit gathered,
-    which serves its lag-drop fits and any failed-fit score.  A test's
-    statistic, p-value, reduced or merged fit, notes and audit records do
-    not depend on gamma, so they are memoized by the tested leaf states, and
-    every grid point that reaches the same states only compares its own
-    level with the p-value.  So each test runs once per call, and every
-    candidate equals a separate ``fit`` at that (s, gamma) and horizon.
+    each s grows its tree from its counts, and every leaf takes its rows and
+    its design from it.  They also share one memo per call.  Under the
+    shared horizon a leaf of several maximal trees has the same rows in
+    each, so it is fitted once, and its state and notes serve every s.  A
+    leaf state carries the full-depth design its first fit gathered, which
+    serves its lag-drop fits and any failed-fit score.  A test's statistic,
+    p-value, reduced or merged fit and notes do not depend on gamma, so they
+    are memoized by the tested leaf states, and every grid point that
+    reaches the same states only compares its own level with the p-value
+    and writes its own audit record.  So each test runs once per call, and
+    every candidate equals a separate ``fit`` at that (s, gamma) and horizon.
     Grid points are ranked by their scores alone; only the winner's report
     is built.  When no s can grow a tree, the data are at fault and
     ``DataTooShort`` is raised.
@@ -891,11 +851,11 @@ def select_tuning(
     _check_alphabet(index, p_eff, min(grid) * (1 + data.d))
     failures: list[str] = []
     structures: dict[int, set[Context]] = {}
-    for s, grown in _grow_structure(index, p_eff, list(grid), base.max_order_cap).items():
-        if isinstance(grown, DataTooShort):
-            failures.append(f"s={s}: {grown}")
-        else:
-            structures[s] = grown
+    for s in grid:
+        try:
+            structures[s] = _grow_structure(index, p_eff, s, base.max_order_cap)
+        except DataTooShort as exc:
+            failures.append(f"s={s}: {exc}")
     if not structures:
         raise DataTooShort("; ".join(failures))
     horizon = max(max(len(u) for u in st) for st in structures.values())

@@ -202,23 +202,20 @@ class TestMaximalTree:
         cap=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_one_walk_grows_each_s_as_alone(self, p, d, states, s_grid, cap, seed):
-        # one walk for a whole s grid gives each s the node set, or the
-        # DataTooShort message, that growing it alone gives, and the node
-        # sets match the brute-force rule
+    def test_each_s_grows_as_the_oracle_on_one_index(self, p, d, states, s_grid, cap, seed):
+        # every s of a grid, grown on one shared index, gives the brute-force
+        # node set, or raises DataTooShort exactly where the rule grows nothing
         states = np.array([min(v, p - 1) for v in states])
         covariates = np.random.default_rng(seed).normal(size=(states.size, d))
         data = Dataset(states=states, covariates=covariates)
         index = HistoryIndex(data)
-        together = algorithm._grow_structure(index, p, s_grid, cap)
-        assert list(together) == s_grid
         for s in s_grid:
-            alone = algorithm._grow_structure(HistoryIndex(data), p, [s], cap)[s]
-            if isinstance(alone, DataTooShort):
-                assert type(together[s]) is DataTooShort
-                assert str(together[s]) == str(alone)
+            oracle = grow_oracle(data, p, s, cap)
+            if oracle == {()}:
+                with pytest.raises(DataTooShort):
+                    algorithm._grow_structure(index, p, s, cap)
             else:
-                assert together[s] == alone == grow_oracle(data, p, s, cap)
+                assert algorithm._grow_structure(index, p, s, cap) == oracle
 
 
 class TestFit:
@@ -396,6 +393,11 @@ class TestPastmostBetaTest:
         data = covariate_chain(500, 5, lambda t, x, y: 0.3)
         with pytest.raises(ChildrenNotLeaves):
             pastmost_beta_test(self.fixture_tree(), (0,), data)
+
+    def test_unknown_context_rejected(self):
+        data = covariate_chain(500, 5, lambda t, x, y: 0.3)
+        with pytest.raises(MalformedModel, match="^unknown context 1,1$"):
+            pastmost_beta_test(self.fixture_tree(), (1, 1), data)
 
     def test_no_lags_to_test(self):
         b0 = ParamBlock.binary(0.3, [])
@@ -631,17 +633,45 @@ class TestSequentialBetaPrune:
         out = sequential_beta_prune(tree, (0, 0), data, FitConfig(gamma=0.01))
         assert out.block((0, 0)).h == 0
 
+    @pytest.mark.parametrize("u, error, message", [
+        ((1, 1), MalformedModel, "^unknown context 1,1$"),
+        ((0,), ChildrenNotLeaves, "^0 is not a leaf$"),
+    ], ids=["unknown", "internal"])
+    def test_names_a_context_that_is_not_a_leaf(self, u, error, message):
+        data = covariate_chain(500, 5, lambda t, x, y: 0.2)
+        with pytest.raises(error, match=message):
+            sequential_beta_prune(self.ragged_tree(2, [0.01, 0.01]), u, data)
+
 
 class TestReplayAudit:
-    def test_audit_determines_final_tree(self, model2_data):
-        rep = fit(model2_data)
-        tau_max = build_maximal_tree(model2_data)
+    @staticmethod
+    def replay_matches_report(data):
+        """Replay ``fit(data)``'s audit on the maximal tree, check it against
+        the report's tree and return the report."""
+        rep = fit(data)
+        tau_max = build_maximal_tree(data)
         state = replay_audit(tau_max, rep.audit)
         want = {
             u: (rep.tree.block(u).h if rep.tree.is_leaf(u) else None)
             for u in rep.tree.nodes
         }
         assert state == want
+        return rep
+
+    def test_audit_determines_final_tree(self, model2_data):
+        self.replay_matches_report(model2_data)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_audit_determines_final_tree_when_merged_fits_fall_back(self, seed):
+        # model3 states under a covariate of size 1e200: lagged fits fail, so
+        # some merged parents fall back to intercept only, with no lag drop
+        states = vlmcx.generate(vlmcx.builtin_model("model3"), 2000, seed=seed).states
+        covariates = np.random.default_rng(seed).normal(size=2000) * 1e200
+        rep = self.replay_matches_report(Dataset(states=states, covariates=covariates))
+        parents = {rec.contexts[0][:-1] for rec in rep.audit if rec.action == "merge"}
+        dropped = {rec.contexts[0] for rec in rep.audit if rec.action == "drop"}
+        assert any(u and rep.tree.block(u).h == 0 for u in parents - dropped
+                   if rep.tree.is_leaf(u))
 
     def test_empty_audit_is_identity(self, model2_data):
         tau_max = build_maximal_tree(model2_data)
@@ -705,6 +735,20 @@ class TestSelectTuning:
         data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
         with pytest.raises(DataError, match="s must be >= 1, got 0"):
             select_tuning(data, s_grid=(0, 2, 5), gamma_grid=(1e-3,))
+
+    def test_failures_name_each_s_that_cannot_grow(self, model2_data):
+        # s=400 passes the length check but no depth-1 group reaches 800
+        # occurrences; s=600 fails the length check; only s=2 is scored
+        result = select_tuning(model2_data, s_grid=[600, 2, 400])
+        assert result.failures == [
+            "s=400: no depth-1 sibling group reaches 800 occurrences each",
+            "s=600: n=1000 cannot support depth 1 with s=600, d=1 "
+            "(need more than 1200 observations)",
+        ]
+        assert [c.s for c in result.candidates] == [2, 2, 2, 2]
+        alone = select_tuning(model2_data, s_grid=[2])
+        assert result.report.to_json() == alone.report.to_json()
+        assert result.candidates == alone.candidates
 
     def test_hopeless_data_raises(self):
         # no s can grow a tree, a data error, not a numerical one
@@ -827,27 +871,6 @@ class TestSelectTuning:
         getattr(algorithm, entry)(data)
         assert len(gathered) == len(set(gathered)) > 0
         assert len(fits) > len(gathered)  # lag-drop fits reuse the leaf's design
-
-    def test_audit_records_are_built_once_per_outcome(self, monkeypatch):
-        # the grid points that reach one test outcome with one action share
-        # its audit record
-        built, reached, appended = [], set(), []
-        record = algorithm._Outcome.record
-
-        def spy_record(out, kind, contexts, lag, action):
-            reached.add((id(out), kind, action))
-            appended.append(kind)
-            return record(out, kind, contexts, lag, action)
-
-        def spy_audit_record(*args):
-            built.append(args)
-            return AuditRecord(*args)
-
-        monkeypatch.setattr(algorithm._Outcome, "record", spy_record)
-        monkeypatch.setattr(algorithm, "AuditRecord", spy_audit_record)
-        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
-        select_tuning(data)
-        assert len(built) == len(reached) < len(appended)
 
     def test_each_test_runs_once_per_grid(self, monkeypatch):
         # the gamma values of one s share each test's outcome, so no LRT
