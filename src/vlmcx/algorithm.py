@@ -19,7 +19,6 @@ log-likelihoods, tests, and information criteria comparable across trees.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -279,10 +278,12 @@ class _Outcome(NamedTuple):
 
 @dataclass
 class _Memo:
-    """Work shared by engines: each initial leaf state with the notes its fit
-    wrote, by context (one horizon gives a context the same rows in every
-    maximal tree), and each test's outcome, by the tested states."""
+    """Work shared by the engines of one call, all on ``index``: each initial
+    leaf state with the notes its fit wrote, by context (one horizon gives a
+    context the same rows in every maximal tree), and each test's outcome,
+    by the tested states.  The states hold rows and designs of ``index``."""
 
+    index: HistoryIndex
     initial: dict[Context, tuple[_LeafState, tuple[str, ...]]] = field(default_factory=dict)
     outcomes: dict[tuple[_LeafState, ...], _Outcome] = field(default_factory=dict)
 
@@ -303,20 +304,20 @@ class _Engine:
     whole group, so a parent's children are all leaves exactly when its
     group at their depth is complete.
 
-    Rows, counts and designs come from one ``HistoryIndex`` of the data,
-    built here unless ``index`` shares one.  A leaf's rows are its window
-    rows past the horizon, ascending; a merged parent's are its children's
-    rows stacked in child order.  A leaf state carries its design, gathered
-    from the index at the leaf's full depth when the state is first fitted;
-    the states a lag drop installs keep it, and a fit with fewer lags reads
-    a truncated view of it.
+    Rows, counts and designs come from the ``HistoryIndex`` of the data that
+    ``memo`` was built on (a private memo and index unless given).  A leaf's
+    rows are its window rows past the horizon, ascending; a merged parent's
+    are its children's rows stacked in child order.  A leaf state carries
+    its design, gathered from the index at the leaf's full depth when the
+    state is first fitted; the states a lag drop installs keep it, and a fit
+    with fewer lags reads a truncated view of it.
 
     A leaf's initial state and a test's outcome (statistic, p-value, reduced
     or merged fit, notes) do not depend on gamma, so each is computed once
-    per ``memo``, which clones share (a private one unless given).  Tests
-    are keyed by the tested states, which are immutable, so engines that
-    share a memo and a leaf's initial state share every test from it on.
-    Each engine only compares its own level with the p-value.
+    per ``memo``.  Tests are keyed by the tested states, which are
+    immutable, so engines that share a memo and a leaf's initial state share
+    every test from it on.  Each engine only compares its own level with the
+    p-value.
 
     ``seed`` (internal) maps some leaves of a given ``structure`` to their
     blocks.  Such an engine holds only those leaves, each refitted at its
@@ -333,13 +334,13 @@ class _Engine:
         structure: set[Context] | None = None,
         memo: _Memo | None = None,
         seed: dict[Context, ParamBlock] | None = None,
-        index: HistoryIndex | None = None,
     ):
         self.data = data
         self.config = config
         self.p = _infer_p(data, p)
         self.d = data.d
-        self.index = HistoryIndex(data) if index is None else index
+        self._memo = _Memo(HistoryIndex(data)) if memo is None else memo
+        self.index = self._memo.index
         if structure is None:
             structure = _grow_structure(self.index, self.p, config.s, config.max_order_cap)
         self.order = max(len(u) for u in structure)
@@ -352,7 +353,6 @@ class _Engine:
         self.audit: list[AuditRecord] = []
         self.notes: list[str] = []
         self.leaves: dict[Context, _LeafState] = {}
-        self._memo = _Memo() if memo is None else memo  # shared by clones
         self._fit_initial(structure, seed)
 
     # -- setup -------------------------------------------------------------
@@ -415,14 +415,6 @@ class _Engine:
                 f"a coefficient passed {glm.SEPARATION_BOUND} in magnitude"
             )
         return _LeafState(rows, design, res)
-
-    def clone(self, config: FitConfig) -> "_Engine":
-        eng = copy.copy(self)
-        eng.config = config
-        eng.leaves = dict(self.leaves)
-        eng.audit = []
-        eng.notes = list(self.notes)
-        return eng
 
     # -- pruning -----------------------------------------------------------
 
@@ -827,18 +819,19 @@ def select_tuning(
     BIC wins whatever its s.  Every grid point's config is validated before
     any tree is grown, so an invalid s or gamma raises ``DataError``.
 
-    Grid points share one ``HistoryIndex`` of the data, built once per call:
+    Each grid point runs an engine of its own, and all of them are built on
+    one memo per call, which holds the one ``HistoryIndex`` of the data:
     each s grows its tree from its counts, and every leaf takes its rows and
-    its design from it.  They also share one memo per call.  Under the
-    shared horizon a leaf of several maximal trees has the same rows in
-    each, so it is fitted once, and its state and notes serve every s.  A
-    leaf state carries the full-depth design its first fit gathered, which
-    serves its lag-drop fits and any failed-fit score.  A test's statistic,
-    p-value, reduced or merged fit and notes do not depend on gamma, so they
-    are memoized by the tested leaf states, and every grid point that
-    reaches the same states only compares its own level with the p-value
-    and writes its own audit record.  So each test runs once per call, and
-    every candidate equals a separate ``fit`` at that (s, gamma) and horizon.
+    its design from it.  Under the shared horizon a leaf of several maximal
+    trees has the same rows in each, so it is fitted once, and its state and
+    notes serve every s.  A leaf state carries the full-depth design its
+    first fit gathered, which serves its lag-drop fits and any failed-fit
+    score.  A test's statistic, p-value, reduced or merged fit and notes do
+    not depend on gamma, so they are memoized by the tested leaf states, and
+    every grid point that reaches the same states only compares its own
+    level with the p-value and writes its own audit record.  So each test
+    runs once per call, and every candidate equals a separate ``fit`` at
+    that (s, gamma) and horizon.
     Grid points are ranked by their scores alone; only the winner's report
     is built.  When no s can grow a tree, the data are at fault and
     ``DataTooShort`` is raised.
@@ -859,22 +852,15 @@ def select_tuning(
     if not structures:
         raise DataTooShort("; ".join(failures))
     horizon = max(max(len(u) for u in st) for st in structures.values())
-    memo = _Memo()
+    memo = _Memo(index)
     best_key = None
     best: _Engine | None = None
     candidates: list[TuningCandidate] = []
     for s, structure in structures.items():
-        try:
-            base_engine = _Engine(
-                data, base.replace(s=s), p=p_eff, horizon=horizon, structure=structure,
-                memo=memo, index=index,
-            )
-        except VlmcxError as exc:
-            failures.append(f"s={s}: {exc}")
-            continue
         for cfg in grid[s]:
             try:
-                engine = base_engine.clone(cfg)
+                engine = _Engine(data, cfg, p=p_eff, horizon=horizon, structure=structure,
+                                 memo=memo)
                 engine.run()
                 sc = engine.scores()
             except VlmcxError as exc:

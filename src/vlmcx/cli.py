@@ -157,21 +157,15 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
             raw[col.column] = np.fromiter(map(float, cells), float, len(data_rows))
         except (IndexError, ValueError):
             raise NonNumericCell(_first_bad_row(data_rows, pos), col.column) from None
-    transformed: dict[str, tuple[np.ndarray, int]] = {}
-    for col in needed:
-        transformed[col.column] = _transform(raw[col.column], col.transform, col.column)
-    start = max(offset for _, offset in transformed.values())
+    # by position in ``needed``: one column may be named with two transforms
+    transformed = [_transform(raw[col.column], col.transform, col.column) for col in needed]
+    start = max(offset for _, offset in transformed)
     length = len(data_rows) - start
     if length <= 0:
         raise EmptyAfterTransform(
             f"{len(data_rows)} data rows leave nothing after transforms"
         )
-
-    def aligned(column: str) -> np.ndarray:
-        values, offset = transformed[column]
-        return values[start - offset :]
-
-    target = aligned(spec.target.column)
+    target, *columns = [values[start - offset :] for values, offset in transformed]
     # NaN, inf and values past int64 fail the range test before any cast
     beyond = np.flatnonzero(~(np.abs(target) < 2.0**63))
     if beyond.size:
@@ -187,8 +181,7 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
             f"integer states, got {float(target[bad[0]])!r} at data row "
             f"{start + int(bad[0]) + 1} after its transform"
         )
-    for col in spec.covariates:
-        values = aligned(col.column)
+    for col, values in zip(spec.covariates, columns):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise DataError(
@@ -197,7 +190,7 @@ def ingest(csv_path: str, spec: IngestSpec) -> Dataset:
                 f"after its transform"
             )
     if spec.covariates:
-        covariates = np.column_stack([aligned(c.column) for c in spec.covariates])
+        covariates = np.column_stack(columns)
     else:
         covariates = np.zeros((length, 0))
     return Dataset(states=target.astype(np.int64), covariates=covariates)

@@ -452,7 +452,9 @@ def log_likelihood(tree: ContextTree, data: Dataset, horizon: int | None = None)
             for lag in range(1, block.h + 1):
                 z[1:] += (cov[t - lag] @ block.beta[:, lag - 1, :].T).T
             mx = z.max(axis=0)
-            norm = mx + np.log(np.exp(z - mx).T.copy().sum(axis=1))
+            E = np.empty((t.size, tree.p))  # row-major exponentials
+            np.exp(np.subtract(z, mx, out=E.T), out=E.T)
+            norm = mx + np.log(np.add.reduce(E, axis=1))
             total += float((z[states[t], np.arange(t.size)] - norm).sum())
             continue
         # t is ascending, so the histories too short to pass are a prefix

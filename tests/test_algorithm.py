@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vlmcx
-from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock, algorithm
+from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock, algorithm, stats
 from vlmcx.algorithm import (
     AuditRecord,
     FitReport,
@@ -773,17 +773,17 @@ class TestSelectTuning:
     def tune_recording_reports(data, base, monkeypatch):
         """``select_tuning`` at ``p=2`` and the report of every grid point,
         built after the call from the engine that ran it."""
-        clones = []
-        engine_clone = algorithm._Engine.clone
+        engines = []
+        engine_run = algorithm._Engine.run
 
-        def recording_clone(engine, config):
-            clones.append(engine_clone(engine, config))
-            return clones[-1]
+        def recording_run(engine):
+            engines.append(engine)
+            engine_run(engine)
 
-        monkeypatch.setattr(algorithm._Engine, "clone", recording_clone)
+        monkeypatch.setattr(algorithm._Engine, "run", recording_run)
         result = select_tuning(data, config=base, p=2)
-        monkeypatch.setattr(algorithm._Engine, "clone", engine_clone)
-        return result, [engine.report() for engine in clones]
+        monkeypatch.setattr(algorithm._Engine, "run", engine_run)
+        return result, [engine.report() for engine in engines]
 
     @staticmethod
     def assert_points_match_fits(data, base, result, reports):
@@ -921,21 +921,31 @@ class TestSelectTuning:
         assert keys and repeats == 0
 
     def test_no_memo_outlives_a_call(self, monkeypatch):
-        # a second call on the same data fits everything again
-        calls = []
+        # a second call on the same data fits everything again and computes
+        # every p-value again
+        calls, tails = [], []
 
         def counting_fit_leaf(design, h=None, **kwargs):
             calls.append(h)
             return fit_leaf(design, h, **kwargs)
 
+        def counting(fn):
+            def spy(a, x):
+                tails.append((a, x))
+                return fn(a, x)
+            return spy
+
         monkeypatch.setattr("vlmcx.algorithm.fit_leaf", counting_fit_leaf)
+        for name in ("_gamma_series", "_gamma_cf"):
+            monkeypatch.setattr(stats, name, counting(getattr(stats, name)))
         data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1000000)
         counts = []
         for _ in range(2):
             calls.clear()
+            tails.clear()
             select_tuning(data, s_grid=[2, 5], gamma_grid=[1e-3, 1e-2])
-            counts.append(len(calls))
-        assert counts[0] > 0
+            counts.append((len(calls), len(tails)))
+        assert counts[0][0] > 0 and counts[0][1] > 0
         assert counts[0] == counts[1]
 
     def test_failed_fits_are_fitted_once(self, monkeypatch):

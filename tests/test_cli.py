@@ -140,6 +140,29 @@ class TestIngest:
         text = SIX_ROWS.replace("sp500\n", "sp500,date\n").replace(".0\n", ".0,d\n")
         assert ingest(write(tmp_path, "dup.csv", text), IngestSpec.from_dict(HAND_SPEC)).n == 5
 
+    def test_target_column_reused_as_a_covariate_keeps_each_transform(self, tmp_path):
+        csv_path = write(tmp_path, "y.csv", "y\n0\n2\n1\n2\n0\n")
+        spec = IngestSpec.from_dict({
+            "target": {"column": "y"},
+            "covariates": [{"column": "y", "transform": "binarize_sign"}],
+        })
+        data = ingest(csv_path, spec)
+        np.testing.assert_array_equal(data.states, [0, 2, 1, 2, 0])
+        np.testing.assert_array_equal(data.covariates[:, 0], [0.0, 1.0, 1.0, 1.0, 0.0])
+
+    def test_covariate_named_twice_keeps_each_transform(self, tmp_path):
+        csv_path = write(tmp_path, "x.csv", "y,x\n0,100\n2,110\n1,99\n2,105\n0,100\n")
+        spec = IngestSpec.from_dict({
+            "target": {"column": "y"},
+            "covariates": [{"column": "x", "transform": "log_return"}, {"column": "x"}],
+        })
+        data = ingest(csv_path, spec)
+        x = np.array([100.0, 110.0, 99.0, 105.0, 100.0])
+        assert data.n == 4  # the log return consumes the first row of both
+        np.testing.assert_array_equal(data.states, [2, 1, 2, 0])
+        np.testing.assert_array_equal(data.covariates[:, 0], np.log(x[1:] / x[:-1]))
+        np.testing.assert_array_equal(data.covariates[:, 1], x[1:])
+
     def test_empty_lines_at_the_end_are_ignored(self, tmp_path):
         plain = ingest(write(tmp_path, "six.csv", SIX_ROWS), IngestSpec.from_dict(HAND_SPEC))
         padded = ingest(write(tmp_path, "pad.csv", SIX_ROWS + "\n\r\n"),
