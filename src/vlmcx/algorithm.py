@@ -20,7 +20,6 @@ log-likelihoods, tests, and information criteria comparable across trees.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -35,7 +34,9 @@ from .core import (
     Dataset,
     HistoryIndex,
     ParamBlock,
+    _Record,
     _integer,
+    _to_json,
     _with_ancestors,
     context_label,
 )
@@ -60,7 +61,7 @@ DEFAULT_GAMMA_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
 
 
 @dataclass(frozen=True)
-class FitConfig:
+class FitConfig(_Record):
     """Knobs for one estimation run.
 
     ``s`` scales the per-parameter count rule deciding how deep the initial
@@ -84,21 +85,15 @@ class FitConfig:
             raise DataError(f"gamma must be a number, got {self.gamma!r}")
         if not 0.0 < self.gamma < 1.0:
             raise DataError(f"gamma must be in (0, 1), got {self.gamma}")
+        object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "max_order_cap", _integer("max_order_cap", self.max_order_cap, 1))
 
     def replace(self, **kw) -> "FitConfig":
         return dataclasses.replace(self, **kw)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _nan_to_none(x: float) -> float | None:
-    return None if x != x else float(x)
-
 
 @dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(_Record):
     """One pruning decision: which test ran, on what, and what happened.
 
     ``test`` is ``deepest_lag`` (the per-leaf test run once per pass),
@@ -115,20 +110,9 @@ class AuditRecord:
     p_value: float
     action: str
 
-    def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "contexts": [list(u) for u in self.contexts],
-            "lag": self.lag,
-            "statistic": _nan_to_none(self.statistic),
-            "df": self.df,
-            "p_value": _nan_to_none(self.p_value),
-            "action": self.action,
-        }
-
 
 @dataclass(frozen=True)
-class LeafDiagnostics:
+class LeafDiagnostics(_Record):
     context: Context
     n_obs: int
     h: int
@@ -136,17 +120,6 @@ class LeafDiagnostics:
     converged: bool
     separated: bool
     iterations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "context": list(self.context),
-            "n_obs": self.n_obs,
-            "h": self.h,
-            "loglik": self.loglik,
-            "converged": self.converged,
-            "separated": self.separated,
-            "iterations": self.iterations,
-        }
 
 
 # The note of a leaf whose fit with lags fell back to intercept only, as
@@ -189,8 +162,7 @@ class FitReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    to_json = _to_json
 
 
 # -- maximal tree growth -------------------------------------------------------
@@ -764,7 +736,7 @@ def replay_audit(tau_max: ContextTree, audit: Sequence[AuditRecord]) -> dict[Con
 
 
 @dataclass(frozen=True)
-class TuningCandidate:
+class TuningCandidate(_Record):
     s: int
     gamma: float
     bic: float
@@ -772,9 +744,6 @@ class TuningCandidate:
     loglik: float
     n_alpha: int
     n_beta: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass

@@ -54,6 +54,37 @@ def _integer(name: str, value, least: int) -> int:
     return int(value)
 
 
+_AS_IS = frozenset({str, int, bool, type(None)})  # what JSON writes unchanged
+
+
+def _json_ready(value):
+    """``value`` under the JSON rule of every report record: tuples and lists
+    become lists, dicts keep their keys, and a float (numpy's float64 too)
+    becomes a Python float, or None when it is NaN, at any depth."""
+    if type(value) in _AS_IS:  # the common case, tested first for speed
+        return value
+    if isinstance(value, float):
+        return None if value != value else float(value)
+    if isinstance(value, (tuple, list)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    return value
+
+
+class _Record:
+    """Base of the flat report records (dataclasses, none with a ClassVar):
+    :meth:`to_dict` holds every field, in declaration order, as :func:`_json_ready`."""
+
+    def to_dict(self) -> dict:
+        return {name: _json_ready(getattr(self, name)) for name in self.__dataclass_fields__}
+
+
+def _to_json(report, indent: int | None = 2) -> str:
+    """``report.to_dict()`` as JSON text: the ``to_json`` of each report."""
+    return json.dumps(report.to_dict(), indent=indent)
+
+
 @dataclass(eq=False)
 class ParamBlock:
     """Regression coefficients attached to one context.
@@ -299,13 +330,7 @@ class ContextTree:
             block = self.nodes[u]
             if block is None:
                 raise MalformedModel(f"leaf {context_label(u)} has no parameters to serialize")
-            leaves.append(
-                {
-                    "context": list(u),
-                    "alpha": [float(a) for a in block.alpha],
-                    "beta": [[[float(v) for v in row] for row in mat] for mat in block.beta],
-                }
-            )
+            leaves.append({"context": list(u), "alpha": block.alpha.tolist(), "beta": block.beta.tolist()})
         return {"p": self.p, "d": self.d, "leaves": leaves}
 
     def serialize(self) -> str:
@@ -333,13 +358,19 @@ class ContextTree:
         if not isinstance(raw_leaves, list) or not raw_leaves:
             raise MalformedModel("model file must list at least one leaf")
         leaves: dict[Context, ParamBlock] = {}
-        for entry in raw_leaves:
+        for i, entry in enumerate(raw_leaves):
             try:
-                u = _as_context(entry["context"])
+                context = entry["context"]
                 alpha = np.asarray(entry["alpha"], dtype=float)
                 beta = np.asarray(entry["beta"], dtype=float)
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedModel(f"invalid leaf entry: {exc}") from exc
+            # a string, a bool or a fraction would iterate or cast into some context
+            if not isinstance(context, list) or any(type(s) is not int for s in context):
+                raise MalformedModel(
+                    f"leaf entry {i}: context must be a list of integers, got {json.dumps(context)}"
+                )
+            u = tuple(context)
             if beta.ndim == 2 and beta.shape[1] == 0:
                 beta = beta.reshape(beta.shape[0], 0, d)
             if beta.ndim != 3:
@@ -470,22 +501,28 @@ class HistoryIndex:
             self._off.append(np.append(starts, keys.size))
         return k
 
-    def _symbol(self, state: int) -> int | None:
+    def _symbol(self, state: int) -> int:
+        """Position of ``state`` in the alphabet; -1 when the data lacks it."""
         i = int(np.searchsorted(self._alphabet, state))
-        return i if i < self._alphabet.size and self._alphabet[i] == state else None
+        return i if i < self._alphabet.size and self._alphabet[i] == state else -1
 
     def _code(self, u: Context) -> int | None:
-        """Code of context ``u`` at level ``len(u)``; None when no time point has it."""
-        if u in self._codes:
-            return self._codes[u]
-        parent, sym = self._code(u[:-1]), self._symbol(u[-1])
-        code = None
-        if parent is not None and sym is not None:
-            keys = self._keys[self._level(len(u))]
-            key = sym * self._keys[len(u) - 1].size + parent
+        """Code of context ``u`` at level ``len(u)``; None when no time point has it.
+
+        The memo holds each prefix of what it holds, up to the first prefix
+        no time point has, so the walk starts at the longest one memoized.
+        """
+        k = 0
+        while k < len(u) and u[: k + 1] in self._codes:
+            k += 1
+        code = self._codes[u[:k]]
+        while code is not None and k < len(u):
+            keys = self._keys[self._level(k + 1)]
+            key = self._symbol(u[k]) * self._keys[k].size + code  # < 0 for a lacking state
             i = int(np.searchsorted(keys, key))
             code = i if i < keys.size and keys[i] == key else None
-        self._codes[u] = code
+            k += 1
+            self._codes[u[:k]] = code
         return code
 
     def rows(self, u: Context, start: int, stop: int | None = None) -> np.ndarray:
@@ -509,7 +546,7 @@ class HistoryIndex:
         if self._keys[k].size == 0:  # no time point reaches depth k
             return np.zeros((len(parents), p), dtype=np.int64)
         codes = np.array([-1 if c is None else c for c in map(self._code, parents)])
-        syms = np.array([-1 if a is None else a for a in map(self._symbol, range(p))])
+        syms = np.array([self._symbol(w) for w in range(p)])
         keys = syms * self._keys[k - 1].size + codes[:, np.newaxis]
         at = np.minimum(np.searchsorted(self._keys[k], keys), self._keys[k].size - 1)
         hit = (codes[:, np.newaxis] >= 0) & (syms >= 0) & (self._keys[k][at] == keys)

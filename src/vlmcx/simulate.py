@@ -9,10 +9,9 @@ steps are kept.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ from .algorithm import (
     FitConfig,
     FitReport,
     _grid_configs,
-    _nan_to_none,
     fit,
     select_tuning,
 )
@@ -32,7 +30,10 @@ from .core import (
     ContextTree,
     Dataset,
     ParamBlock,
+    _Record,
     _integer,
+    _json_ready,
+    _to_json,
     _with_ancestors,
     context_label,
 )
@@ -450,7 +451,7 @@ def generate(spec: ModelSpec, n: int, seed: int, burn_in: int = 1000) -> Dataset
 
 
 @dataclass(frozen=True)
-class EvalMetrics:
+class EvalMetrics(_Record):
     """Structure recovery and scores of one fitted tree against the truth."""
 
     bic: float
@@ -464,9 +465,6 @@ class EvalMetrics:
     extra: int
     identical_tau: bool
     identical_tau_theta: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compare_trees(truth: ModelSpec, fitted: FitReport) -> EvalMetrics:
@@ -520,7 +518,7 @@ class TuningGrid:
 
 
 @dataclass
-class CoefficientCell:
+class CoefficientCell(_Record):
     """Sampling summary of one coefficient over exact-support runs.
 
     ``n`` counts the runs where the leaf was recovered with its true lag
@@ -539,21 +537,6 @@ class CoefficientCell:
     n_clean: int
     mean_clean: float
     sd_clean: float
-
-    def to_dict(self) -> dict:
-        return {
-            "context": list(self.context),
-            "target": self.target,
-            "lag": self.lag,
-            "covariate": self.covariate,
-            "true": self.true,
-            "n": self.n,
-            "mean": _nan_to_none(self.mean),
-            "sd": _nan_to_none(self.sd),
-            "n_clean": self.n_clean,
-            "mean_clean": _nan_to_none(self.mean_clean),
-            "sd_clean": _nan_to_none(self.sd_clean),
-        }
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:
@@ -591,8 +574,8 @@ class MonteCarloSummary:
             "runs": self.runs,
             "failures": self.failures,
             "tuned": self.tuned,
-            "means": {k: _nan_to_none(v) for k, v in self.means.items()},
-            "rates": {k: _nan_to_none(v) for k, v in self.rates.items()},
+            "means": _json_ready(self.means),
+            "rates": _json_ready(self.rates),
             "hist_missing": {str(k): v for k, v in sorted(self.hist_missing.items())},
             "hist_extra": {str(k): v for k, v in sorted(self.hist_extra.items())},
             "coefficients": [c.to_dict() for c in self.coefficients],
@@ -600,8 +583,7 @@ class MonteCarloSummary:
             "failure_notes": list(self.failure_notes),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    to_json = _to_json
 
     def format_table(self) -> str:
         lines = [

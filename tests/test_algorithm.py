@@ -14,6 +14,8 @@ from vlmcx import ContextTree, Dataset, FitConfig, ParamBlock, algorithm, stats
 from vlmcx.algorithm import (
     AuditRecord,
     FitReport,
+    LeafDiagnostics,
+    TuningCandidate,
     TuningResult,
     build_maximal_tree,
     fit,
@@ -26,6 +28,7 @@ from vlmcx.algorithm import test_pastmost_beta as pastmost_beta_test
 from vlmcx.core import HistoryIndex
 from vlmcx.errors import (
     AllFitsFailed,
+    AlphabetMismatch,
     ChildrenNotLeaves,
     DataError,
     DataTooShort,
@@ -35,6 +38,7 @@ from vlmcx.errors import (
     NumericalError,
 )
 from vlmcx.glm import LeafDesign, build_design, fit_leaf, log_likelihood
+from vlmcx.simulate import CoefficientCell, EvalMetrics, MonteCarloSummary
 from vlmcx.stats import lrt
 
 from conftest import context_rows, lagged_design, tri_model
@@ -114,6 +118,13 @@ class TestFitConfig:
     def test_to_dict_fields(self):
         d = FitConfig().to_dict()
         assert set(d) == {"s", "gamma", "max_order_cap", "bonferroni", "ic_include_intercepts"}
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_numpy_gamma_is_stored_as_a_python_float(self, dtype, model2_data):
+        gamma = dtype(1e-3)
+        cfg = FitConfig(gamma=gamma)
+        assert type(cfg.gamma) is float and cfg.gamma == float(gamma)
+        assert json.loads(fit(model2_data, cfg).to_json())["config"]["gamma"] == float(gamma)
 
 
 class TestMaximalTree:
@@ -346,6 +357,18 @@ class TestFit:
         assert doc["statistic"] is None and doc["p_value"] is None
         json.dumps(doc)
 
+    @pytest.mark.parametrize("entry", [fit, build_maximal_tree])
+    def test_input_checks(self, entry):
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1)
+        with pytest.raises(DataError, match="^horizon 1 below tree order 7$"):
+            entry(data, horizon=1)
+        with pytest.raises(DataTooShort, match="^horizon 1000 leaves no transitions in n=1000$"):
+            entry(data, horizon=data.n)
+        rng = np.random.default_rng(12)
+        three = Dataset(states=rng.integers(0, 3, size=600), covariates=rng.normal(size=600))
+        with pytest.raises(AlphabetMismatch, match=r"^state 2 outside 0\.\.1$"):
+            entry(three, p=2)
+
     def test_no_covariates_keeps_state_structure(self):
         rng = np.random.default_rng(3)
         n = 2000
@@ -366,6 +389,44 @@ class TestFit:
         assert rep.n_beta == 0
 
 
+NAN = float("nan")
+CELL = CoefficientCell((0, 1), 1, 1, 1, 0.5, 0, NAN, NAN, 0, np.float64(NAN), NAN)
+
+
+class TestRecordJson:
+    RECORDS = {
+        "audit": AuditRecord("deepest_lag", ((0, 1),), 2, NAN, 1, np.float64(NAN), "drop"),
+        "leaf": LeafDiagnostics((0, 1), 10, 0, np.float64(NAN), False, True, 0),
+        "config": FitConfig(gamma=np.float32(1e-3)),
+        "candidate": TuningCandidate(2, 1e-3, NAN, NAN, NAN, 3, 0),
+        "metrics": EvalMetrics(NAN, NAN, NAN, 3, 1, 2, 1, 0, 0, False, False),
+        "cell": CELL,
+    }
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_nan_is_null_and_tuples_are_lists(self, name):
+        record = self.RECORDS[name]
+        doc = record.to_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(record)]
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+        for key, value in doc.items():
+            held = getattr(record, key)
+            if isinstance(held, float) and math.isnan(held):
+                assert value is None
+
+    def test_monte_carlo_summary_means_and_rates(self):
+        summary = MonteCarloSummary(
+            p=2, d=1, n=100, runs=0, failures=0, tuned=False,
+            means={"bic": NAN, "n_alpha": np.float64(NAN)}, rates={"identical_tau": NAN},
+            hist_missing={}, hist_extra={}, coefficients=[CELL], selected={}, failure_notes=[],
+        )
+        doc = json.loads(json.dumps(summary.to_dict(), allow_nan=False))
+        assert doc["means"] == {"bic": None, "n_alpha": None}
+        assert doc["rates"] == {"identical_tau": None}
+        assert doc["coefficients"] == [CELL.to_dict()]
+        assert summary.to_json() == json.dumps(summary.to_dict(), indent=2)
+
+
 class TestPastmostBetaTest:
     def fixture_tree(self):
         b = ParamBlock.binary(0.3, [1.2])
@@ -374,6 +435,15 @@ class TestPastmostBetaTest:
             p=2, d=1,
             nodes={(): None, (0,): None, (1,): b, (0, 0): b2, (0, 1): b2},
         )
+
+    def test_horizon_checks(self):
+        data = vlmcx.generate(vlmcx.builtin_model("model2"), 1000, seed=1)
+        tree = build_maximal_tree(data)
+        u = next(u for u in tree.leaves() if tree.block(u).h > 0)
+        with pytest.raises(DataError, match="^horizon 1 below tree order 7$"):
+            pastmost_beta_test(tree, u, data, horizon=1)
+        with pytest.raises(DataTooShort, match="^horizon 1000 leaves no transitions in n=1000$"):
+            pastmost_beta_test(tree, u, data, horizon=data.n)
 
     def test_irrelevant_lag_is_dropped(self):
         data = covariate_chain(4000, 5, lambda t, x, y: 0.3 + 1.2 * x[t - 1])

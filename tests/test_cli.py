@@ -430,6 +430,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "covariate column 'x1' has a non-finite value inf at data row 2" in err
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read ingest spec {}: "),
+        ("{not json", "ingest spec {} is not valid JSON: "),
+    ], ids=["unreadable", "invalid_json"])
+    def test_bad_ingest_spec_exits_three_naming_it(self, tmp_path, capsys, text, message):
+        csv_path = write(tmp_path, "six.csv", SIX_ROWS)
+        spec = str(tmp_path / "spec.json") if text is None else write(tmp_path, "spec.json", text)
+        assert main(["fit", "--data", csv_path, "--ingest", spec]) == 3
+        assert capsys.readouterr().err.startswith("error: " + message.format(repr(spec)))
+
+    def test_empty_csv_exits_three_naming_it(self, tmp_path, capsys):
+        csv_path = write(tmp_path, "empty.csv", "")
+        spec = write(tmp_path, "spec.json", json.dumps(HAND_SPEC))
+        assert main(["fit", "--data", csv_path, "--ingest", spec]) == 3
+        assert capsys.readouterr().err == f"error: {csv_path!r} is empty\n"
+
+    def test_non_numeric_covariate_row_exits_three(self, capsys):
+        assert main(["predict", "--model", "model2", "--history", "0,1,0",
+                     "--covariates", "1;x"]) == 3
+        assert "error: bad covariate row 'x'" in capsys.readouterr().err
+
     def test_bad_history_exits_three(self, capsys):
         assert main(["predict", "--model", "model1", "--history", "a,b"]) == 3
         capsys.readouterr()

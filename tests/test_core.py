@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,40 @@ class TestContextTreeValidation:
         assert t.order == 0
         assert t.leaves() == [ROOT]
 
+    @pytest.mark.parametrize(
+        "p, d, nodes, message",
+        [
+            (1, 1, {ROOT: None}, "need at least two states, got p=1"),
+            (2, -1, {ROOT: None}, "covariate dimension must be >= 0, got -1"),
+            (2, 1, {(0,): leaf_block(), (1,): leaf_block()}, "tree must contain the root context"),
+            (3, 1, {ROOT: leaf_block()}, "leaf <root>: block for 2 states in a 3-state tree"),
+            (2, 2, {ROOT: leaf_block(0.0, [1.0])}, "leaf <root>: covariate dimension 1 != 2"),
+        ],
+        ids=["p_below_two", "negative_d", "no_root", "block_for_wrong_p", "block_for_wrong_d"],
+    )
+    def test_constructor_rejections_name_the_defect(self, p, d, nodes, message):
+        with pytest.raises(MalformedModel, match=f"^{message}$"):
+            ContextTree(p=p, d=d, nodes=nodes)
+
+
+class TestTreeEquality:
+    def test_equal_by_structure_and_values(self):
+        assert small_tree() == small_tree()
+        assert small_tree() != small_tree().with_block((1,), leaf_block(-0.5))
+        assert small_tree() != small_tree().merge_leaves((0,))
+
+    def test_p_and_d_must_match(self):
+        nodes = {ROOT: leaf_block(0.0)}
+        tree = ContextTree(p=2, d=1, nodes=nodes)
+        assert tree == ContextTree(p=2, d=1, nodes=dict(nodes))
+        assert tree != ContextTree(p=2, d=2, nodes=dict(nodes))
+        three = ContextTree(p=3, d=1, nodes={ROOT: None, (0,): None, (1,): None})
+        assert three != ContextTree(p=2, d=1, nodes={ROOT: None, (0,): None, (1,): None})
+
+    def test_other_types_are_not_equal(self):
+        assert small_tree() != small_tree().serialize()
+        assert small_tree().__eq__(None) is NotImplemented
+
 
 class TestTreeQueries:
     def test_leaves_internal_split(self):
@@ -324,6 +359,44 @@ class TestSerialization:
         with pytest.raises(MalformedModel):
             ContextTree.parse("not json at all {")
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: [d], "model file must be a JSON object"),
+            (lambda d: {**d, "leaves": []}, "model file must list at least one leaf"),
+            (lambda d: d["leaves"][0].pop("alpha") and d, "invalid leaf entry: 'alpha'"),
+            (lambda d: d["leaves"][0].update(beta=[[2.0, 0.5]]) or d,
+             "leaf 0,0: beta must be a 3-level array"),
+            (lambda d: d["leaves"][0].update(beta=[[[2.0, 0.0], [0.5, 0.0]]]) or d,
+             "leaf 0,0: beta rows have width 2, expected 1"),
+            (lambda d: {**d, "p": 1}, "need at least two states, got p=1"),
+        ],
+        ids=["not_an_object", "no_leaves", "leaf_without_alpha", "two_level_beta",
+             "beta_width", "p_of_one"],
+    )
+    def test_defects_are_named(self, mutate, message):
+        doc = mutate(json.loads(small_tree().serialize()))
+        with pytest.raises(MalformedModel, match=f"^{message}$"):
+            ContextTree.parse(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "context",
+        ['"11"', "[1.5]", "[1.0]", "[true]", '{"1": 0}'],
+        ids=["string", "fraction", "float", "bool", "object"],
+    )
+    def test_context_must_be_a_list_of_integers(self, context):
+        # each of these once loaded as a context of ints: "11" as 1,1, the
+        # others as 1
+        leaf = {"alpha": [0.0] * 11, "beta": [[]] * 11}
+        doc = {"p": 12, "d": 0, "leaves": [{"context": [0], **leaf}, {"context": None, **leaf}]}
+        text = json.dumps(doc).replace("null", context)
+        shown = json.dumps(json.loads(context))
+        with pytest.raises(
+            MalformedModel,
+            match=f"^leaf entry 1: context must be a list of integers, got {re.escape(shown)}$",
+        ):
+            ContextTree.parse(text)
+
 
 class TestDataset:
     def test_basic_properties(self):
@@ -436,6 +509,24 @@ class TestHistoryIndex:
         want = lagged_design(data, rows, h)
         assert X.dtype == want.dtype and X.flags.c_contiguous
         np.testing.assert_array_equal(X, want)
+
+    @pytest.mark.parametrize("length", [1200, 5000])
+    def test_long_contexts_match_the_scans(self, length):
+        # the code of a context is found level by level without recursion
+        data = vlmcx.generate(vlmcx.builtin_model("model1"), 3000, seed=1)
+        index = HistoryIndex(data)
+        miss = (0,) * length
+        assert count_occurrences(data, miss) == 0
+        assert index.rows(miss, length, data.n + 1).size == 0
+        # only prefixes up to the first one no time point has are kept
+        assert max(map(len, index._codes)) < 20
+        # a window of the data itself, on a prefix short enough to build
+        # every level of the index
+        short = Dataset(states=data.states[:1300], covariates=data.covariates[:1300])
+        hit = tuple(short.states[::-1][: min(length, short.n)].tolist())
+        rows = HistoryIndex(short).rows(hit, len(hit), short.n + 1)
+        np.testing.assert_array_equal(rows, context_rows(short, hit, len(hit), short.n + 1))
+        assert rows.tolist() == [short.n]
 
     def test_shallow_gather_after_a_deep_one(self):
         data = Dataset(states=[0, 1, 1, 0, 1, 0], covariates=np.arange(12.0).reshape(6, 2))
